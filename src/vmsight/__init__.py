@@ -28,14 +28,11 @@ from .identify import (
     UNKNOWN,
     FingerprintDb,
     IdentificationResult,
-    WarpedPair,
     build_fingerprint_db,
-    dtw_align,
     identify,
     identify_single,
     load_fingerprint_db,
     save_fingerprint_db,
-    warped_distance,
 )
 from .neural import (
     FitReport,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Optional, Sequence
 
 from . import degrade, evaluate, neural, select, simgen, tracemodel
@@ -111,10 +112,24 @@ def _parse_threshold_dtw(pairs, config) -> dict[str, float]:
     return {k: float(v) for k, v in thresholds.items()}
 
 
+def _required(args, config, key: str):
+    value = _resolve(args, config, key)
+    if not value:
+        raise ConfigInvalid(f"--{key} is required")
+    return value
+
+
+def _parallel_map(fn, items: Sequence, jobs: int) -> list:
+    """``[fn(x) for x in items]``, spread over ``jobs`` worker processes
+    when jobs > 1; results keep the order of ``items``."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+
+
 def _load_sessions(args, config):
-    corpus = _resolve(args, config, "corpus")
-    if not corpus:
-        raise ConfigInvalid("--corpus is required")
+    corpus = _required(args, config, "corpus")
     return tracemodel.load_corpus(corpus, format=_resolve(args, config, "format"))
 
 
@@ -155,9 +170,7 @@ def _cmd_simulate(args, config) -> int:
             )
             for i in range(args.outsider)
         ]
-    out = _resolve(args, config, "out")
-    if not out:
-        raise ConfigInvalid("--out is required")
+    out = _required(args, config, "out")
     tracemodel.save_corpus(records, out, format=_resolve(args, config, "format"))
     if args.profiles_out:
         degrade.save_profiles(degrade.profiles_for_templates(templates), args.profiles_out)
@@ -176,9 +189,7 @@ def _cmd_fingerprint(args, config) -> int:
         threshold=args.threshold,
         metric_thresholds=_parse_threshold_dtw(args.threshold_dtw, config),
     )
-    out = _resolve(args, config, "out")
-    if not out:
-        raise ConfigInvalid("--out is required")
+    out = _required(args, config, "out")
     save_fingerprint_db(db, out)
     print(
         f"fingerprinted {len(db.labels())} apps, {len(db.entries)} entries -> {out}",
@@ -196,33 +207,21 @@ def _identify_one(record, db, align, znorm, min_trace_len):
 
 def _cmd_identify(args, config) -> int:
     records = _load_sessions(args, config)
-    db_path = _resolve(args, config, "db")
-    if not db_path:
-        raise ConfigInvalid("--db is required")
-    db = load_fingerprint_db(db_path)
-    min_len = int(_resolve(args, config, "min_trace_len"))
-    jobs = int(_resolve(args, config, "jobs"))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    _identify_worker,
-                    [(r, db, args.align, args.znorm, min_len) for r in records],
-                    chunksize=max(1, len(records) // (4 * jobs) or 1),
-                )
-            )
-    else:
-        rows = [_identify_one(r, db, args.align, args.znorm, min_len) for r in records]
+    db = load_fingerprint_db(_required(args, config, "db"))
+    one = partial(
+        _identify_one,
+        db=db,
+        align=args.align,
+        znorm=args.znorm,
+        min_trace_len=int(_resolve(args, config, "min_trace_len")),
+    )
+    rows = _parallel_map(one, records, int(_resolve(args, config, "jobs")))
     payload = {"results": rows}
     _emit(args, config, payload)
     if not _resolve(args, config, "json"):
         for row in rows:
             print(f"{row['session_id']}: {row['label']}")
     return 0
-
-
-def _identify_worker(item):
-    return _identify_one(*item)
 
 
 def _cmd_select_metrics(args, config) -> int:
@@ -265,9 +264,7 @@ def _cmd_train(args, config) -> int:
         cfg=cfg,
         hidden_grid=grid,
     )
-    models_dir = _resolve(args, config, "models")
-    if not models_dir:
-        raise ConfigInvalid("--models is required")
+    models_dir = _required(args, config, "models")
     store.save(models_dir)
     summary = {}
     for app in store.apps():
@@ -290,31 +287,13 @@ def _predict_one(record, db, profiles, store):
         return None, str(exc)
 
 
-def _predict_worker(item):
-    return _predict_one(*item)
-
-
 def _cmd_predict(args, config) -> int:
     records = _load_sessions(args, config)
-    db_path = _resolve(args, config, "db")
-    models_dir = _resolve(args, config, "models")
-    if not db_path or not models_dir:
-        raise ConfigInvalid("--db and --models are required")
+    db_path, models_dir = _required(args, config, "db"), _required(args, config, "models")
     db = load_fingerprint_db(db_path)
     store = degrade.ModelStore.load(models_dir)
-    profiles = _load_profiles(args, config)
-    jobs = int(_resolve(args, config, "jobs"))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    _predict_worker,
-                    [(r, db, profiles, store) for r in records],
-                    chunksize=max(1, len(records) // (4 * jobs) or 1),
-                )
-            )
-    else:
-        outcomes = [_predict_one(r, db, profiles, store) for r in records]
+    one = partial(_predict_one, db=db, profiles=_load_profiles(args, config), store=store)
+    outcomes = _parallel_map(one, records, int(_resolve(args, config, "jobs")))
     rows = []
     reports = []
     failures = []
@@ -367,10 +346,7 @@ def _cmd_evaluate(args, config) -> int:
             app=args.app,
         )
     elif args.experiment == "timing":
-        models_dir = _resolve(args, config, "models")
-        if not models_dir:
-            raise ConfigInvalid("--models is required")
-        store = degrade.ModelStore.load(models_dir)
+        store = degrade.ModelStore.load(_required(args, config, "models"))
         profiles = _load_profiles(args, config)
         records = _load_sessions(args, config)
         labeled = [r for r in records if r.app_label == args.app]
@@ -385,10 +361,7 @@ def _cmd_evaluate(args, config) -> int:
         )
     elif args.experiment == "error-table":
         records = _load_sessions(args, config)
-        models_dir = _resolve(args, config, "models")
-        if not models_dir:
-            raise ConfigInvalid("--models is required")
-        store = degrade.ModelStore.load(models_dir)
+        store = degrade.ModelStore.load(_required(args, config, "models"))
         profiles = _load_profiles(args, config)
         templates = simgen.default_templates(amplitude_gain=args.amp_gain)
         truth = {

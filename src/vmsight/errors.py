@@ -27,10 +27,6 @@ class PeriodMismatch(VmsightError):
     pass
 
 
-class MetricMismatch(VmsightError):
-    pass
-
-
 class TooShort(VmsightError):
     pass
 

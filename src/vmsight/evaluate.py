@@ -66,14 +66,6 @@ class ExperimentResult:
             lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def to_gnuplot(self) -> str:
-        """Whitespace-separated series with a commented header row."""
-        keys = sorted(k for k in self.series if k not in self.volatile_keys)
-        lines = ["# " + " ".join(keys)]
-        for row in zip(*(self.series[k] for k in keys)):
-            lines.append(" ".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())

@@ -1,11 +1,12 @@
 """Application-type identification from metric traces.
 
 An unknown session is matched against a fingerprint database of labeled
-reference traces.  Every (query, reference) pair of the same metric kind is
-aligned with exact dynamic time warping, the Euclidean distance between the
-warped traces scores the match, and per-metric nearest-fingerprint results
-are combined by voting.  A distance threshold rejects sessions that resemble
-no known application.
+reference traces.  One exact dynamic-time-warping pass per metric aligns the
+query with every same-metric reference at once: it finds the minimum-cost
+(L1) warping path and, in the same sweep, the Euclidean distance between the
+two traces warped along that path, which scores the match.  Per-metric
+nearest-fingerprint results are combined by voting, and a distance threshold
+rejects sessions that resemble no known application.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import (
     InsufficientReferences,
     IoError,
-    MetricMismatch,
     NoReferenceForMetric,
     NoUsableMetrics,
     ParseError,
@@ -53,147 +54,57 @@ DEFAULT_METRIC_THRESHOLDS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WarpedPair:
-    """Two traces expanded to a common length along an optimal warping path.
+def _dtw(query: np.ndarray, refs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact DTW of one query against several references in one pass.
 
-    ``path`` holds 0-based (m, n) index pairs from (0, 0) to (M-1, N-1) with
-    steps in {(1,0), (0,1), (1,1)}; both warped sequences have the path's
-    length M', with max(M, N) <= M' <= M + N - 1.
+    Row i indexes the query, column j a reference.  Each cell carries the
+    accumulated cost D = |query_i - ref_j| + min(D of its three predecessors)
+    and the squared distance S along the predecessor a traceback would pick:
+    the first minimum in the order diagonal, i-1, j-1.  Returns, per
+    reference, D at the last cell (the L1 optimum) and sqrt(S) there (the
+    Euclidean distance between the traces warped along that path).
+
+    The cells of one anti-diagonal depend only on the two before it, so a
+    diagonal is one batched update over every reference.  Diagonal buffers
+    hold row i at index i + 1; index 0 stands for row -1 and stays inf, as
+    do rows a diagonal has not reached yet.  References are zero-padded to
+    the longest; padded cells never feed a real one.
     """
-
-    p_warped: np.ndarray
-    q_warped: np.ndarray
-    path: tuple[tuple[int, int], ...]
-    cost: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p_warped, dtype=float)
-        q = np.asarray(self.q_warped, dtype=float)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError("warped sequences must be 1-D and equally long")
-        arr = np.asarray(self.path, dtype=int)
-        if arr.shape != (p.shape[0], 2):
-            raise ValueError("path length must match the warped length")
-        if tuple(arr[0]) != (0, 0):
-            raise ValueError("path must start at (0, 0)")
-        steps = np.diff(arr, axis=0)
-        if steps.size and not (
-            np.all(steps >= 0) and np.all(steps <= 1) and np.all(steps.sum(axis=1) >= 1)
-        ):
-            raise ValueError("path steps must be (1,0), (0,1) or (1,1)")
-        m_end, n_end = int(arr[-1, 0]) + 1, int(arr[-1, 1]) + 1
-        if not (max(m_end, n_end) <= len(arr) <= m_end + n_end - 1):
-            raise ValueError("warped length outside [max(M,N), M+N-1]")
-        p = p.copy()
-        q = q.copy()
-        p.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "p_warped", p)
-        object.__setattr__(self, "q_warped", q)
-        object.__setattr__(self, "path", tuple((int(a), int(b)) for a, b in arr))
-
-
-def _accumulate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fill the accumulated-cost matrix D for per-cell cost |p_m - q_n|.
-
-    Vectorized over anti-diagonals: every cell on diagonal k depends only on
-    diagonals k-1 and k-2, so each diagonal is one batched update.  Buffers
-    are reused and diagonals are stored through a strided view to keep the
-    inner loop allocation-free.
-    """
-    m, n = p.shape[0], q.shape[0]
-    d = np.empty((m, n))
-    flat = d.reshape(-1)
-    prev1 = np.full(m, np.inf)  # diagonal k-1, indexed by row
-    prev2 = np.full(m, np.inf)  # diagonal k-2, indexed by row
-    curr = np.full(m, np.inf)
-    best = np.empty(m)
-    cbuf = np.empty(m)
-    step = n - 1  # flat distance between adjacent cells of one anti-diagonal
+    m = query.shape[0]
+    n = max(ref.shape[0] for ref in refs)
+    padded = np.zeros((len(refs), n))
+    # reference r ends at row m-1 of diagonal m + n_r - 2
+    finish: dict[int, list[int]] = {}
+    for r, ref in enumerate(refs):
+        padded[r, : ref.shape[0]] = ref
+        finish.setdefault(m + ref.shape[0] - 2, []).append(r)
+    costs = np.empty(len(refs))
+    sq = np.empty(len(refs))
+    d2, d1, d0 = (np.full((len(refs), m + 1), np.inf) for _ in range(3))
+    s2, s1, s0 = (np.full((len(refs), m + 1), np.inf) for _ in range(3))
     for k in range(m + n - 1):
-        lo = 0 if k < n else k - n + 1
-        hi = k if k < m else m - 1
-        cnt = hi - lo + 1
-        rows = slice(lo, hi + 1)
-        np.subtract(p[rows], q[k - hi : k - lo + 1][::-1], out=cbuf[:cnt])
-        np.abs(cbuf[:cnt], out=cbuf[:cnt])
+        lo = max(0, k - n + 1)
+        hi = min(k, m - 1)
+        cur = slice(lo + 1, hi + 2)
+        cost = np.abs(query[lo : hi + 1] - padded[:, k - hi : k - lo + 1][:, ::-1])
         if k == 0:
-            curr[0] = cbuf[0]
+            d0[:, cur] = cost
+            s0[:, cur] = cost * cost
         else:
-            if lo == 0:
-                # top row: only the left neighbor exists
-                best[0] = prev1[0]
-                if hi >= 1:
-                    np.minimum(prev1[0:hi], prev1[1 : hi + 1], out=best[1:cnt])
-                    np.minimum(best[1:cnt], prev2[0:hi], out=best[1:cnt])
-            else:
-                np.minimum(prev1[lo - 1 : hi], prev1[rows], out=best[:cnt])
-                np.minimum(best[:cnt], prev2[lo - 1 : hi], out=best[:cnt])
-            np.add(cbuf[:cnt], best[:cnt], out=curr[rows])
-            if lo > 0:
-                curr[lo - 1] = np.inf
-            if hi < m - 1:
-                curr[hi + 1] = np.inf
-        start = k + lo * step  # flat index of (i, j) is k + i*(n-1); n >= 2
-        flat[start : start + (cnt - 1) * step + 1 : step] = curr[rows]
-        prev2, prev1, curr = prev1, curr, prev2
-    return d
-
-
-def _traceback(d: np.ndarray) -> list[tuple[int, int]]:
-    m, n = d.shape
-    i, j = m - 1, n - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        # preference on ties: diagonal, then advance p, then advance q
-        cand = (
-            d[i - 1, j - 1] if i > 0 and j > 0 else np.inf,
-            d[i - 1, j] if i > 0 else np.inf,
-            d[i, j - 1] if j > 0 else np.inf,
-        )
-        move = int(np.argmin(cand))
-        if move == 0:
-            i, j = i - 1, j - 1
-        elif move == 1:
-            i -= 1
-        else:
-            j -= 1
-        path.append((i, j))
-    path.reverse()
-    return path
-
-
-def _dtw_arrays(pa: np.ndarray, qa: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    d = _accumulate(pa, qa)
-    return float(d[-1, -1]), _traceback(d)
-
-
-def dtw_align(p: MetricTrace, q: MetricTrace) -> WarpedPair:
-    """Align two traces of the same metric by exact DTW.
-
-    The per-cell cost is the absolute sample difference; squaring happens
-    only later, in warped_distance.  Returns the warped pair along a
-    minimum-cost monotone path; ``cost`` is the dynamic-programming optimum.
-    """
-    if p.metric != q.metric:
-        raise MetricMismatch(f"cannot align {p.metric.name} against {q.metric.name}")
-    if fmt(p.period_s) != fmt(q.period_s):
-        raise PeriodMismatch(
-            f"period mismatch for {p.metric.name}: {p.period_s} vs {q.period_s}"
-        )
-    if len(p) < 2 or len(q) < 2:
-        raise TooShort("traces must have at least 2 samples")
-    pa = np.asarray(p.samples, dtype=float)
-    qa = np.asarray(q.samples, dtype=float)
-    cost, path = _dtw_arrays(pa, qa)
-    idx = np.asarray(path)
-    return WarpedPair(pa[idx[:, 0]], qa[idx[:, 1]], tuple(path), cost)
-
-
-def warped_distance(pair: WarpedPair) -> float:
-    """Euclidean distance between the two warped sequences."""
-    return float(np.linalg.norm(pair.p_warped - pair.q_warped))
+            best, s = d2[:, lo : hi + 1], s2[:, lo : hi + 1]  # diagonal
+            up = d1[:, lo : hi + 1] < best  # strict: ties keep the earlier move
+            best = np.where(up, d1[:, lo : hi + 1], best)
+            s = np.where(up, s1[:, lo : hi + 1], s)
+            left = d1[:, cur] < best
+            best = np.where(left, d1[:, cur], best)
+            s = np.where(left, s1[:, cur], s)
+            d0[:, cur] = cost + best
+            s0[:, cur] = cost * cost + s
+        for r in finish.get(k, ()):
+            costs[r], sq[r] = d0[r, m], s0[r, m]
+        d2, d1, d0 = d1, d0, d2
+        s2, s1, s0 = s1, s0, s2
+    return costs, np.sqrt(sq)
 
 
 def _znorm(a: np.ndarray) -> np.ndarray:
@@ -201,22 +112,6 @@ def _znorm(a: np.ndarray) -> np.ndarray:
     if std == 0.0:
         return a - np.mean(a)
     return (a - np.mean(a)) / std
-
-
-def _match_distance(query: MetricTrace, ref: MetricTrace, align: str, znorm: bool) -> float:
-    qa = np.asarray(query.samples, dtype=float)
-    ra = np.asarray(ref.samples, dtype=float)
-    if znorm:
-        qa, ra = _znorm(qa), _znorm(ra)
-    if align == "dtw":
-        _, path = _dtw_arrays(qa, ra)
-        idx = np.asarray(path)
-        return float(np.linalg.norm(qa[idx[:, 0]] - ra[idx[:, 1]]))
-    if align == "truncate":
-        # ablation variant: chop both to the common length, no warping
-        L = min(qa.shape[0], ra.shape[0])
-        return float(np.linalg.norm(qa[:L] - ra[:L]))
-    raise ValueError(f"unknown alignment {align!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +238,35 @@ def identify_single(
 ) -> tuple[str, float]:
     """Match one trace against every same-metric reference.
 
-    Returns the label of the globally nearest reference and its distance,
-    or (UNKNOWN, distance) when even the nearest exceeds the metric's
-    rejection threshold.
+    Returns the label of the globally nearest reference (the first in
+    database order on a tie) and its distance, or (UNKNOWN, distance) when
+    even the nearest exceeds the metric's rejection threshold.
     """
     refs = [e for e in db.entries if e.metric == trace.metric]
     if not refs:
         raise NoReferenceForMetric(f"database has no references for {trace.metric.name}")
-    best_label = None
-    best_dist = math.inf
     for entry in refs:
         if fmt(entry.trace.period_s) != fmt(trace.period_s):
             raise PeriodMismatch(
                 f"query period {trace.period_s} != reference period "
                 f"{entry.trace.period_s} for {trace.metric.name}"
             )
-        dist = _match_distance(trace, entry.trace, align, znorm)
-        if dist < best_dist:
-            best_label, best_dist = entry.app_label, dist
+    qa = np.asarray(trace.samples, dtype=float)
+    ras = [np.asarray(e.trace.samples, dtype=float) for e in refs]
+    if znorm:
+        qa, ras = _znorm(qa), [_znorm(ra) for ra in ras]
+    if align == "dtw":
+        _, dists = _dtw(qa, ras)
+    elif align == "truncate":
+        # ablation variant: chop both to the common length, no warping
+        dists = [np.linalg.norm(qa[: len(ra)] - ra[: len(qa)]) for ra in ras]
+    else:
+        raise ValueError(f"unknown alignment {align!r}")
+    best = int(np.argmin(dists))
+    best_dist = float(dists[best])
     if best_dist > db.threshold_for(trace.metric):
         return UNKNOWN, best_dist
-    return best_label, best_dist
+    return refs[best].app_label, best_dist
 
 
 def identify(
@@ -426,7 +329,12 @@ def _vote_winner(
 # ---------------------------------------------------------------------------
 
 
+_ENTRY_FILE = re.compile(r"entry\d{4}\.csv")
+
+
 def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
+    """Write db.json and one CSV per entry, removing entry files of an
+    earlier, larger database in the same directory."""
     os.makedirs(path, exist_ok=True)
     index = {
         "distance_threshold": db.distance_threshold,
@@ -454,42 +362,65 @@ def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
         with open(os.path.join(path, "db.json"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(index, sort_keys=True, indent=2))
             fh.write("\n")
+        kept = {item["file"] for item in index["entries"]}
+        for name in os.listdir(path):
+            if _ENTRY_FILE.fullmatch(name) and name not in kept:
+                os.remove(os.path.join(path, name))
     except OSError as exc:
         raise IoError(f"cannot write fingerprint db to {path}: {exc}") from exc
 
 
 def load_fingerprint_db(path: str) -> FingerprintDb:
+    """Read a database written by save_fingerprint_db.
+
+    A missing or unreadable file raises IoError; malformed content (bad
+    JSON, a missing key, a value of the wrong type, a non-numeric or
+    non-finite sample, an invalid threshold) raises ParseError.
+    """
     index_path = os.path.join(path, "db.json")
     if not os.path.exists(index_path):
         raise IoError(f"no fingerprint database at {path}")
-    with open(index_path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(index_path, encoding="utf-8") as fh:
             index = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"db.json: invalid JSON ({exc.msg})") from exc
-    entries = []
-    for item in index["entries"]:
-        kind = metric_by_name(item["metric"])
-        fpath = os.path.join(path, item["file"])
-        samples = []
-        with open(fpath, encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != f"t,{kind.name}":
-                raise ParseError(f"{item['file']}: unexpected header {header.strip()!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"{item['file']}:{lineno}: expected 2 fields")
+        return FingerprintDb(
+            entries=tuple(_load_entry(path, item) for item in index["entries"]),
+            metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
+            distance_threshold=float(index["distance_threshold"]),
+            metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
+            source_session_ids=tuple(index.get("source_session_ids", ())),
+        )
+    except OSError as exc:
+        raise IoError(f"cannot read fingerprint db at {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"db.json: invalid JSON ({exc.msg})") from exc
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_entry(path: str, item: Mapping) -> FingerprintEntry:
+    kind = metric_by_name(item["metric"])
+    name = item["file"]
+    samples = []
+    with open(os.path.join(path, name), encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != f"t,{kind.name}":
+            raise ParseError(f"{name}: unexpected header {header.strip()!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"{name}:{lineno}: expected 2 fields")
+            try:
                 samples.append(float(parts[1]))
+            except ValueError:
+                raise ParseError(f"{name}:{lineno}: not a number: {parts[1]!r}") from None
+    try:
         trace = MetricTrace(kind, np.array(samples), period_s=float(item["period_s"]))
-        entries.append(FingerprintEntry(item["app_label"], kind, trace))
-    return FingerprintDb(
-        entries=tuple(entries),
-        metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
-        distance_threshold=float(index["distance_threshold"]),
-        metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
-        source_session_ids=tuple(index.get("source_session_ids", ())),
-    )
+    except ValueError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+    return FingerprintEntry(item["app_label"], kind, trace)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
-These deliberately avoid the library's algorithms: the warping oracle
-enumerates every monotone path through the cost grid, and the correlation
-oracle is a straight-sum two-pass loop.  Keep them simple and slow.
+These deliberately avoid the library's algorithms: the warping oracles
+enumerate every monotone path through the cost grid or fill the whole cost
+matrix and walk it back, and the correlation oracle is a straight-sum
+two-pass loop.  Keep them simple and slow.
 """
 
 import math
@@ -63,6 +64,35 @@ def brute_force_min_warped_sq(p, q):
             sq = sum((p[i] - q[j]) ** 2 for i, j in path)
             best_sq = min(best_sq, sq)
     return best_sq
+
+
+def traceback_dtw(p, q):
+    """Full-matrix DTW: (L1 cost, Euclidean distance along the traceback path).
+
+    Fills the whole accumulated-cost matrix, then walks back from the last
+    cell to (0, 0), preferring on ties the diagonal, then the step back in p,
+    then the step back in q.
+    """
+    m, n = len(p), len(q)
+    d = [[math.inf] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            if i == j == 0:
+                d[i][j] = abs(p[0] - q[0])
+                continue
+            prev = min(
+                d[i - 1][j - 1] if i and j else math.inf,
+                d[i - 1][j] if i else math.inf,
+                d[i][j - 1] if j else math.inf,
+            )
+            d[i][j] = abs(p[i] - q[j]) + prev
+    i, j = m - 1, n - 1
+    sq = (p[i] - q[j]) ** 2
+    while i or j:
+        moves = [(a, b) for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1)) if a >= 0 and b >= 0]
+        i, j = min(moves, key=lambda ab: d[ab[0]][ab[1]])  # first minimum wins ties
+        sq += (p[i] - q[j]) ** 2
+    return d[m - 1][n - 1], math.sqrt(sq)
 
 
 def two_pass_pearson(a, b):

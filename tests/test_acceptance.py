@@ -22,7 +22,7 @@ from vmsight.degrade import (
     profiles_for_templates,
 )
 from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
-from vmsight.identify import UNKNOWN, build_fingerprint_db, dtw_align, identify
+from vmsight.identify import UNKNOWN, _dtw, build_fingerprint_db, identify
 from vmsight.neural import (
     TrainConfig,
     _init_layers,
@@ -39,7 +39,7 @@ from vmsight.simgen import (
     outsider_template,
     render_session,
 )
-from vmsight.tracemodel import CPU_UTIL, MetricTrace
+from vmsight.tracemodel import CPU_UTIL
 
 
 def report(num, name, passed, detail=""):
@@ -84,14 +84,14 @@ def test_criterion_01_dtw_oracle_equivalence():
     """Exact cost equality with brute-force path enumeration."""
 
     def check_pairs(traces):
+        # each trace against itself and every later one, in one kernel call
         n = 0
-        for p, q in itertools.combinations_with_replacement(traces, 2):
-            got = dtw_align(
-                MetricTrace(CPU_UTIL, np.array(p)), MetricTrace(CPU_UTIL, np.array(q))
-            ).cost
-            want = brute_force_dtw_cost(p, q)
-            assert got == want, (p, q, got, want)
-            n += 1
+        for a, p in enumerate(traces):
+            costs, _ = _dtw(np.array(p), [np.array(q) for q in traces[a:]])
+            for q, got in zip(traces[a:], costs):
+                want = brute_force_dtw_cost(p, q)
+                assert got == want, (p, q, got, want)
+                n += 1
         return n
 
     # every pair of binary traces through length 6, exhaustively
@@ -109,7 +109,7 @@ def test_criterion_01_dtw_oracle_equivalence():
     for _ in range(400):
         p = rng.integers(0, 4, 6).astype(float)
         q = rng.integers(0, 4, int(rng.integers(2, 7))).astype(float)
-        got = dtw_align(MetricTrace(CPU_UTIL, p), MetricTrace(CPU_UTIL, q)).cost
+        got = _dtw(p, [q])[0][0]
         assert got == brute_force_dtw_cost(list(p), list(q))
         checked += 1
     report(1, "DTW oracle equivalence", True, f"{checked} pairs, exact")

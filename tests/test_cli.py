@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -9,6 +10,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _set_sample(value):
+    def corrupt(db):
+        path = db / "entry0001.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+
+    return corrupt
+
+
+def _edit_index(edit):
+    def corrupt(db):
+        index = json.loads((db / "db.json").read_text())
+        edit(index)
+        (db / "db.json").write_text(json.dumps(index))
+
+    return corrupt
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +137,41 @@ class TestIdentify:
         json.loads(out)  # stdout must be pure JSON
         assert "{" not in err
 
-    def test_jobs_flag_preserves_order_and_results(self, capsys, workspace):
-        code1, out1, _ = run(
-            capsys, "identify", "--corpus", workspace["corpus"], "--db", workspace["db"],
-            "--json",
-        )
-        code2, out2, _ = run(
-            capsys, "identify", "--corpus", workspace["corpus"], "--db", workspace["db"],
-            "--json", "--jobs", "2",
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2
+    @pytest.mark.parametrize("command", ["identify", "predict"])
+    def test_jobs_flag_preserves_order_and_results(self, capsys, workspace, command):
+        args = [command, "--corpus", workspace["corpus"], "--db", workspace["db"], "--json"]
+        if command == "predict":
+            args += ["--models", workspace["models"], "--profiles", workspace["profiles"]]
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args, "--jobs", "2")
+        assert code1 == code2
+        assert out1 == out2 and json.loads(out1)["results"]
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(_set_sample("abc"), "ParseError", id="non-numeric-sample"),
+            pytest.param(_set_sample("nan"), "ParseError", id="non-finite-sample"),
+            pytest.param(
+                _edit_index(lambda index: index.pop("metrics_used")), "ParseError", id="missing-key"
+            ),
+            pytest.param(
+                _edit_index(lambda index: index.update(metric_thresholds=[1.0])),
+                "ParseError",
+                id="thresholds-not-a-map",
+            ),
+            pytest.param(
+                lambda db: (db / "entry0001.csv").unlink(), "IoError", id="missing-entry-file"
+            ),
+        ],
+    )
+    def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):
+        db = tmp_path / "db"
+        shutil.copytree(workspace["db"], db)
+        corrupt(db)
+        code, _, err = run(capsys, "identify", "--corpus", workspace["corpus"], "--db", str(db))
+        assert code == 1
+        assert err.startswith(f"{error}: ")
 
 
 class TestPredict:

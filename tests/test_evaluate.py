@@ -74,8 +74,6 @@ class TestSamplingTradeoff:
         )
         header = result.to_csv().splitlines()[0]
         assert "hours" in header and "test_mean_pct" in header
-        gp = result.to_gnuplot().splitlines()
-        assert gp[0].startswith("# ") and "," not in gp[1]
 
 
 class TestTiming:

@@ -1,13 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_dtw_cost, brute_force_min_warped_sq
+from oracles import brute_force_dtw_cost, brute_force_min_warped_sq, traceback_dtw
 from vmsight.errors import (
     InsufficientReferences,
-    MetricMismatch,
     NoReferenceForMetric,
     NoUsableMetrics,
     PeriodMismatch,
@@ -17,8 +17,8 @@ from vmsight.identify import (
     UNKNOWN,
     FingerprintDb,
     FingerprintEntry,
+    _dtw,
     build_fingerprint_db,
-    dtw_align,
     identify,
     identify_single,
     load_fingerprint_db,
@@ -45,55 +45,42 @@ short_traces = st.lists(
 )
 
 
+def dtw(p, *refs):
+    """The kernel's (costs, distances) for query p against refs."""
+    return _dtw(np.asarray(p, dtype=float), [np.asarray(r, dtype=float) for r in refs])
+
+
+def cost(p, q):
+    return float(dtw(p, q)[0][0])
+
+
+def distance(p, q):
+    return float(dtw(p, q)[1][0])
+
+
 class TestDtwAlign:
     def test_identity_alignment_is_diagonal(self):
-        p = trace([5.0, 6.0, 7.0, 8.0])
-        pair = dtw_align(p, p)
-        assert pair.cost == 0.0
-        assert pair.path == tuple((i, i) for i in range(4))
+        p = [5.0, 6.0, 7.0, 8.0]
+        assert cost(p, p) == 0.0 and distance(p, p) == 0.0
 
     def test_extra_zero_absorbed_at_no_cost(self):
-        pair = dtw_align(trace([0, 0, 1, 0]), trace([0, 1, 0]))
-        assert pair.cost == 0.0
+        assert cost([0, 0, 1, 0], [0, 1, 0]) == 0.0
 
     def test_constant_mismatch_costs_one_per_cell(self):
         # every cell costs 1; the shortest monotone path covers 3 cells
-        pair = dtw_align(trace([1, 1, 1]), trace([2, 2]))
-        assert pair.cost == pytest.approx(3.0)
-
-    def test_warped_lengths_bounds(self):
-        pair = dtw_align(trace([0, 3, 1, 4, 1]), trace([2, 0, 5]))
-        assert max(5, 3) <= len(pair.path) <= 5 + 3 - 1
-        assert len(pair.p_warped) == len(pair.q_warped) == len(pair.path)
-
-    def test_path_expands_sources(self):
-        p, q = trace([0, 2, 4, 2]), trace([0, 4, 2, 2, 1])
-        pair = dtw_align(p, q)
-        for (i, j), pv, qv in zip(pair.path, pair.p_warped, pair.q_warped):
-            assert pv == p.samples[i] and qv == q.samples[j]
-
-    def test_period_mismatch(self):
-        with pytest.raises(PeriodMismatch):
-            dtw_align(trace([1, 2]), trace([1, 2], period=2.0))
-
-    def test_metric_mismatch(self):
-        with pytest.raises(MetricMismatch):
-            dtw_align(trace([1, 2]), trace([1, 2], kind=LLC_MISSES))
+        assert cost([1, 1, 1], [2, 2]) == pytest.approx(3.0)
 
     def test_matches_brute_force_on_random_short_traces(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             p = rng.integers(0, 5, int(rng.integers(2, 7))).astype(float)
             q = rng.integers(0, 5, int(rng.integers(2, 7))).astype(float)
-            pair = dtw_align(trace(p), trace(q))
-            assert pair.cost == pytest.approx(brute_force_dtw_cost(p, q), abs=1e-12)
+            assert cost(p, q) == pytest.approx(brute_force_dtw_cost(p, q), abs=1e-12)
 
     @settings(max_examples=120, deadline=None)
     @given(short_traces, short_traces)
     def test_cost_symmetric(self, p, q):
-        assert dtw_align(trace(p), trace(q)).cost == pytest.approx(
-            dtw_align(trace(q), trace(p)).cost, abs=1e-12
-        )
+        assert cost(p, q) == pytest.approx(cost(q, p), abs=1e-12)
 
     @settings(max_examples=120, deadline=None)
     @given(short_traces)
@@ -102,7 +89,7 @@ class TestDtwAlign:
         # after collapsing consecutive duplicates
         rng = np.random.default_rng(len(values))
         stretched = [v for v in values for _ in range(int(rng.integers(1, 4)))]
-        assert dtw_align(trace(values), trace(stretched)).cost == pytest.approx(0.0)
+        assert cost(values, stretched) == pytest.approx(0.0)
 
     @settings(max_examples=120, deadline=None)
     @given(short_traces, short_traces)
@@ -114,8 +101,7 @@ class TestDtwAlign:
                     out.append(v)
             return out
 
-        cost = dtw_align(trace(p), trace(q)).cost
-        assert (cost == 0.0) == (dedup(p) == dedup(q))
+        assert (cost(p, q) == 0.0) == (dedup(p) == dedup(q))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
@@ -125,43 +111,42 @@ class TestDtwAlign:
         rng = np.random.default_rng(len(values))
         other = [v + float(rng.normal(0, 5)) for v in values]
         diagonal = sum(abs(a - b) for a, b in zip(values, other))
-        assert dtw_align(trace(values), trace(other)).cost <= diagonal + 1e-9
+        assert cost(values, other) <= diagonal + 1e-9
 
 
 class TestWarpedDistance:
     def test_identical_warped_zero(self):
-        from vmsight.identify import warped_distance
-
-        pair = dtw_align(trace([1, 2, 3]), trace([1, 2, 3]))
-        assert warped_distance(pair) == 0.0
-
-    def test_three_four_five(self):
-        from vmsight.identify import WarpedPair, warped_distance
-
-        pair = WarpedPair(
-            np.array([3.0, 0.0]), np.array([0.0, 4.0]), ((0, 0), (1, 1)), cost=7.0
-        )
-        assert warped_distance(pair) == pytest.approx(5.0)
+        assert distance([1, 2, 3], [1, 2, 3]) == 0.0
 
     def test_enumerated_optimal_warp(self):
-        from vmsight.identify import warped_distance
-
-        pair = dtw_align(trace([1, 1, 1]), trace([2, 2]))
-        assert warped_distance(pair) == pytest.approx(math.sqrt(3))
+        assert distance([1, 1, 1], [2, 2]) == pytest.approx(math.sqrt(3))
 
     def test_distance_on_min_cost_path_matches_oracle(self):
-        # the traceback picks one optimal path deterministically; its squared
+        # the kernel picks one optimal path deterministically; its squared
         # distance must match some enumerated min-cost path
-        from vmsight.identify import warped_distance
-
         rng = np.random.default_rng(3)
         for _ in range(60):
             p = rng.integers(0, 4, int(rng.integers(2, 6))).astype(float)
             q = rng.integers(0, 4, int(rng.integers(2, 6))).astype(float)
-            pair = dtw_align(trace(p), trace(q))
-            got = warped_distance(pair) ** 2
+            got = distance(p, q) ** 2
             candidates = brute_force_min_warped_sq(list(p), list(q))
             assert got >= candidates - 1e-9
+
+    def test_batch_matches_traceback_oracle(self):
+        # small integer alphabets make many cells tie between predecessors,
+        # and references of different lengths share one padded call
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            p = rng.integers(0, 3, int(rng.integers(2, 10))).astype(float)
+            refs = [
+                rng.integers(0, 3, int(rng.integers(2, 14))).astype(float)
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            costs, dists = dtw(p, *refs)
+            for q, got_cost, got_dist in zip(refs, costs, dists):
+                want_cost, want_dist = traceback_dtw(list(p), list(q))
+                assert got_cost == want_cost
+                assert got_dist == pytest.approx(want_dist, rel=1e-12)
 
 
 class TestIdentifySingle:
@@ -175,6 +160,11 @@ class TestIdentifySingle:
         db = toy_db([("a", trace([0, 0, 0, 0]))], threshold=5.0)
         label, dist = identify_single(trace([100, 100, 100, 100]), db)
         assert label == UNKNOWN and dist > 5.0
+
+    def test_period_mismatch(self):
+        db = toy_db([("a", trace([1, 2, 3]))])
+        with pytest.raises(PeriodMismatch):
+            identify_single(trace([1, 2, 3], period=2.0), db)
 
     def test_no_reference_for_metric(self):
         db = toy_db([("a", trace([1, 2, 3]))])
@@ -340,6 +330,16 @@ class TestBuildDb:
         assert len(loaded.entries) == len(db.entries)
         for a, b in zip(loaded.entries, db.entries):
             assert a.app_label == b.app_label and a.trace == b.trace
+
+    def test_save_over_larger_db_removes_stale_entries(self, tmp_path):
+        sessions = self._sessions("abcde", 4)
+        path = tmp_path / "db"
+        save_fingerprint_db(build_fingerprint_db(sessions, [CPU_UTIL], 4), str(path))
+        (path / "notes.txt").write_text("kept")
+        save_fingerprint_db(build_fingerprint_db(sessions, [CPU_UTIL], 1), str(path))
+        entries = [f"entry{i:04d}.csv" for i in range(5)]
+        assert sorted(os.listdir(path)) == ["db.json"] + entries + ["notes.txt"]
+        assert len(load_fingerprint_db(str(path)).entries) == 5
 
     def test_reserved_label_rejected(self):
         with pytest.raises(ValueError, match="reserved"):

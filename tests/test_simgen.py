@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vmsight.errors import ConfigInvalid, UnknownTemplate
-from vmsight.identify import _match_distance
+from vmsight.identify import _dtw
 from vmsight.select import Target, rank_metrics
 from vmsight.simgen import (
     Constant,
@@ -184,6 +184,10 @@ class TestGroundTruth:
             ground_truth_degradation(record, templates)
 
 
+def _dtw_distance(a, b):
+    return float(_dtw(a.samples, [b.samples])[1][0])
+
+
 class TestDistinctness:
     def test_cpu_waveforms_separate_3x(self, templates):
         # canonical cross-template distance must dominate the within-template
@@ -205,9 +209,7 @@ class TestDistinctness:
                         render_session(t, cfg, "d", w, float(rng.uniform(0, 0.7)), rng)
                     )
                 dists.append(
-                    _match_distance(
-                        draws[0].traces[CPU_UTIL], draws[1].traces[CPU_UTIL], "dtw", False
-                    )
+                    _dtw_distance(draws[0].traces[CPU_UTIL], draws[1].traces[CPU_UTIL])
                 )
             within[name] = float(np.mean(dists))
         canon = {
@@ -216,7 +218,7 @@ class TestDistinctness:
         }
         for a in templates:
             min_cross = min(
-                _match_distance(canon[a], canon[b], "dtw", False)
+                _dtw_distance(canon[a], canon[b])
                 for b in templates
                 if b != a
             )
