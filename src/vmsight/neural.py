@@ -564,6 +564,12 @@ def load_model(path: str) -> tuple[MlpModel, Optional[FitReport]]:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{os.path.basename(path)}: invalid JSON ({exc.msg})") from exc
-    return model_from_obj(obj)
+        except ValueError as exc:  # also an int literal over sys.get_int_max_str_digits()
+            msg = getattr(exc, "msg", exc)
+            raise ParseError(f"{os.path.basename(path)}: invalid JSON ({msg})") from exc
+    try:
+        return model_from_obj(obj)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -226,10 +226,32 @@ def _num(value, where: str, allow_none: bool = False) -> Optional[float]:
         raise ParseError(f"{where}: null not allowed")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: number too large for a float") from None
     if not math.isfinite(v):
         raise ParseError(f"{where}: non-finite value {value!r}")
     return v
+
+
+def _samples(values: list, where: str) -> np.ndarray:
+    """Convert one JSON sample list to floats, checking every sample.
+
+    The whole list is checked at once: only ints and floats (bool is its
+    own type, so it fails), a float conversion that does not overflow, and
+    finite results.  Only when a check fails is the list walked sample by
+    sample, so that the error names the first bad sample.
+    """
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    return np.array([_num(v, f"{where} sample {i}") for i, v in enumerate(values)])
 
 
 def _record_from_obj(obj: dict, where: str) -> SessionRecord:
@@ -256,8 +278,8 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
         kind = metric_by_name(name)
         if not isinstance(values, list) or len(values) < 2:
             raise ParseError(f"{where}: trace {name!r} needs >= 2 samples")
-        samples = [_num(v, f"{where}: trace {name!r} sample {i}") for i, v in enumerate(values)]
-        traces[kind] = MetricTrace(kind, np.array(samples), period_s=period)
+        samples = _samples(values, f"{where}: trace {name!r}")
+        traces[kind] = MetricTrace(kind, samples, period_s=period)
     try:
         return SessionRecord(
             session_id=session_id,
@@ -283,8 +305,8 @@ def _load_jsonl_file(path: str) -> list[SessionRecord]:
             where = f"{os.path.basename(path)}:{lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # also an int literal over sys.get_int_max_str_digits()
+                raise ParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             records.append(_record_from_obj(obj, where))
     return records
 

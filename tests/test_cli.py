@@ -31,6 +31,16 @@ def _edit_index(edit):
     return corrupt
 
 
+def _edit_model(edit):
+    def corrupt(models):
+        path = models / "data_serving" / "performance.json"
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+
+    return corrupt
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small end-to-end CLI workspace: corpus, db, models, profiles."""
@@ -99,6 +109,30 @@ class TestBasics:
         code, _, err = run(capsys, "identify", "--corpus", "/nonexistent", "--db", "/also-missing")
         assert code == 1
         assert "IoError" in err
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            pytest.param(
+                lambda obj: obj["traces"]["cpu_util_pct"].__setitem__(0, 10**400), id="sample"
+            ),
+            pytest.param(lambda obj: obj.update(workload_level=10**400), id="label"),
+        ],
+    )
+    def test_huge_integer_is_a_parse_error(self, capsys, workspace, tmp_path, plant):
+        first, *rest = open(workspace["corpus"]).read().splitlines()
+        obj = json.loads(first)
+        plant(obj)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([json.dumps(obj), *rest]) + "\n")
+        code, _, err = run(
+            capsys, "fingerprint", "--corpus", str(corpus), "--out", str(tmp_path / "db")
+        )
+        assert code == 1
+        assert err.startswith("ParseError: corpus.jsonl:1: ")
+        assert "number too large for a float" in err
 
 
 class TestIdentify:
@@ -259,6 +293,46 @@ class TestPredict:
         assert "UnknownApplication" in err
         rows = json.loads(out)["results"]
         assert all(row.get("error") == "UnknownApplication" for row in rows)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(_edit_model(lambda obj, key=key: obj.pop(key)), id=f"no-{key}")
+            for key in ("layers", "input_norm", "purpose")
+        ]
+        + [
+            pytest.param(
+                _edit_model(lambda obj, key=key: obj.update({key: "abc"})), id=f"bad-{key}"
+            )
+            for key in ("layers", "input_norm", "purpose")
+        ]
+        + [
+            pytest.param(
+                lambda models: (models / "data_serving" / "performance.json").write_text(
+                    '{"rng_seed": ' + "1" * 5000 + "}"
+                ),
+                id="int-too-long",
+            )
+        ],
+    )
+    def test_corrupted_model_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        corrupt(models)
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--corpus",
+            workspace["corpus"],
+            "--db",
+            workspace["db"],
+            "--models",
+            str(models),
+            "--profiles",
+            workspace["profiles"],
+        )
+        assert code == 1
+        assert err.startswith("ParseError: ")
 
 
 class TestConfigFile:

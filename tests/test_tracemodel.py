@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vmsight import tracemodel
 from vmsight.errors import EmptyCorpus, ParseError
 from vmsight.simgen import ScenarioConfig, default_templates, generate
 from vmsight.tracemodel import (
@@ -12,9 +14,32 @@ from vmsight.tracemodel import (
     MetricKind,
     MetricTrace,
     SessionRecord,
+    _samples,
     load_corpus,
     records_equal,
     save_corpus,
+)
+
+# Every float JSON can carry (-0.0 and subnormals included) and ints far
+# beyond 2**53 and 2**64, up to 10**300.
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.sampled_from([-0.0, 5e-324, 2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 + 1]),
+)
+
+# A bad sample and the error message the loader has always given for it.
+bad_samples = st.sampled_from(
+    [
+        (True, "expected a number, got True"),
+        ("1.5", "expected a number, got '1.5'"),
+        (None, "null not allowed"),
+        ([], "expected a number, got []"),
+        (float("nan"), "non-finite value nan"),
+        (float("inf"), "non-finite value inf"),
+        (float("-inf"), "non-finite value -inf"),
+        (10**400, "number too large for a float"),
+    ]
 )
 
 
@@ -128,6 +153,47 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         save_corpus(records, str(path))
         assert all(records_equal(x, y) for x, y in zip(records, load_corpus(str(path))))
+
+
+class TestSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(json_numbers, min_size=2, max_size=40))
+    def test_valid_samples_match_per_sample_conversion(self, values):
+        expected = np.array([float(v) for v in values])
+        got = _samples(values, "w")
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(json_numbers, min_size=2, max_size=40), bad_samples, st.data())
+    def test_bad_sample_is_named_by_index(self, values, bad, data):
+        value, message = bad
+        i = data.draw(st.integers(min_value=0, max_value=len(values)), label="index")
+        values.insert(i, value)
+        with pytest.raises(ParseError) as info:
+            _samples(values, "f.jsonl:3: trace 'cpu_util_pct'")
+        assert str(info.value) == f"f.jsonl:3: trace 'cpu_util_pct' sample {i}: {message}"
+
+    def test_samples_are_not_converted_one_by_one(self, tmp_path, monkeypatch):
+        records = generate(
+            ScenarioConfig(session_duration_s=60.0, rng_seed=5), default_templates(), 20
+        )
+        path = tmp_path / "c.jsonl"
+        save_corpus(records, str(path))
+        calls = []
+        num = tracemodel._num
+        monkeypatch.setattr(tracemodel, "_num", lambda *args: calls.append(args) or num(*args))
+        loaded = load_corpus(str(path))
+        assert len(loaded) == len(records) >= 20
+        # period_s and the three labels: never one call per sample
+        assert len(calls) <= 4 * len(loaded)
+
+    def test_integer_too_long_to_decode_is_parse_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_record("a")], str(path))
+        path.write_text(path.read_text().replace("41.0", "4" * 5000, 1))
+        with pytest.raises(ParseError, match=r"c\.jsonl:1: invalid JSON \(Exceeds the limit"):
+            load_corpus(str(path))
 
 
 class TestCsv:
