@@ -20,7 +20,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import degrade, evaluate, neural, select, simgen, tracemodel
-from .errors import ConfigInvalid, UnknownApplication, VmsightError
+from .errors import ConfigInvalid, IoError, ParseError, UnknownApplication, VmsightError
 from .identify import (
     DEFAULT_DISTANCE_THRESHOLD,
     DEFAULT_FINGERPRINT_METRICS,
@@ -63,16 +63,18 @@ def _load_config(path: Optional[str]) -> dict:
         path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise ConfigInvalid(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"config is not valid JSON: {exc.msg}") from exc
+    try:
+        return tracemodel.read_json(path, _check_config)
+    except (IoError, ParseError) as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+
+def _check_config(cfg) -> dict:
+    if not isinstance(cfg, dict):
+        raise TypeError("config must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -86,17 +88,14 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, fallback=None):
     return _DEFAULTS.get(key, fallback)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(args, config, payload: dict) -> None:
-    text = _dump(payload)
+def _emit(args, config, payload: dict, csv_text: Optional[str] = None) -> None:
+    """Write ``payload`` as JSON to --out (``csv_text`` instead, when given
+    and --out ends in .csv) and to stdout under --json."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out = _resolve(args, config, "out")
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with tracemodel.atomic_write(out) as fh:
+            fh.write(csv_text if csv_text is not None and out.endswith(".csv") else text)
         print(f"wrote {out}", file=sys.stderr)
     if _resolve(args, config, "json"):
         sys.stdout.write(text)
@@ -304,16 +303,7 @@ def _cmd_predict(args, config) -> int:
         else:
             rows.append({"session_id": record.session_id, "error": "UnknownApplication"})
             failures.append(msg)
-    out = _resolve(args, config, "out")
-    if out and out.endswith(".csv"):
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(degrade.reports_to_csv(reports))
-        print(f"wrote {out}", file=sys.stderr)
-        if _resolve(args, config, "json"):
-            sys.stdout.write(_dump({"results": rows}))
-    else:
-        _emit(args, config, {"results": rows})
+    _emit(args, config, {"results": rows}, csv_text=degrade.reports_to_csv(reports))
     if not _resolve(args, config, "json"):
         for row in rows:
             if "error" in row:
@@ -476,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--experiment", required=True,
                    choices=["ablation", "tradeoff", "timing", "error-table"])
-    p.add_argument("--db")
     p.add_argument("--models")
     p.add_argument("--profiles", default=None)
     p.add_argument("--ref-counts", default="1,4", dest="ref_counts")

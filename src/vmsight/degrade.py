@@ -10,7 +10,6 @@ session performs at its baseline; larger values mean interference.
 from __future__ import annotations
 
 import enum
-import json
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
@@ -22,7 +21,6 @@ from .errors import (
     IoError,
     MissingModel,
     MissingProfile,
-    ParseError,
     UnknownApplication,
 )
 from .identify import UNKNOWN, FingerprintDb, identify
@@ -39,7 +37,7 @@ from .neural import (
     train,
 )
 from .select import DEFAULT_CORR_THRESHOLD, CorrelationReport, Target, rank_metrics
-from .tracemodel import MetricKind, MetricTrace, SessionRecord
+from .tracemodel import MetricKind, MetricTrace, SessionRecord, read_json, write_json
 
 
 class Orientation(enum.Enum):
@@ -284,16 +282,6 @@ class DegradationTable:
     def to_obj(self) -> dict:
         return {"rows": [dict(r) for r in self.rows], "skipped": self.skipped}
 
-    def to_csv(self) -> str:
-        header = "app,split,n,mean_pct,max_pct,std_pct"
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r['app']},{r['split']},{r['n']},{r['mean_pct']:.6g},"
-                f"{r['max_pct']:.6g},{r['std_pct']:.6g}"
-            )
-        return "\n".join(lines) + "\n"
-
     def to_text(self) -> str:
         lines = [f"{'App':<18} {'Split':<6} {'N':>5} {'mean%':>8} {'max%':>8} {'std%':>8}"]
         for r in self.rows:
@@ -418,27 +406,11 @@ def profiles_from_obj(obj: dict) -> dict[str, AppProfile]:
 
 
 def save_profiles(profiles: Mapping[str, AppProfile], path: str) -> None:
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(profiles_to_obj(profiles), sort_keys=True, indent=2))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write profiles to {path}: {exc}") from exc
+    write_json(path, profiles_to_obj(profiles))
 
 
 def load_profiles(path: str) -> dict[str, AppProfile]:
-    if not os.path.exists(path):
-        raise IoError(f"no profile file at {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{os.path.basename(path)}: invalid JSON ({exc.msg})") from exc
-    try:
-        return profiles_from_obj(obj)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{os.path.basename(path)}: {exc}") from exc
+    return read_json(path, profiles_from_obj)
 
 
 def profiles_for_templates(templates) -> dict[str, AppProfile]:

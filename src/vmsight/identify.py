@@ -11,7 +11,6 @@ rejects sessions that resemble no known application.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -29,7 +28,17 @@ from .errors import (
     PeriodMismatch,
     TooShort,
 )
-from .tracemodel import MetricKind, MetricTrace, SessionRecord, fmt, metric_by_name
+from .tracemodel import (
+    MetricKind,
+    MetricTrace,
+    SessionRecord,
+    fmt,
+    metric_by_name,
+    read_json,
+    read_trace_csv,
+    write_json,
+    write_trace_csv,
+)
 
 UNKNOWN = "unknown"
 
@@ -333,41 +342,37 @@ _ENTRY_FILE = re.compile(r"entry\d{4}\.csv")
 
 
 def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
-    """Write db.json and one CSV per entry, removing entry files of an
-    earlier, larger database in the same directory."""
-    os.makedirs(path, exist_ok=True)
+    """Write one CSV per entry, then db.json, then remove entry files of an
+    earlier, larger database in the same directory.  Each file is replaced
+    atomically and db.json comes last, so a failed save leaves the old
+    db.json in place."""
+    entries = []
+    for i, entry in enumerate(db.entries):
+        fname = f"entry{i:04d}.csv"
+        write_trace_csv(os.path.join(path, fname), [entry.trace], entry.trace.period_s)
+        entries.append(
+            {
+                "app_label": entry.app_label,
+                "metric": entry.metric.name,
+                "file": fname,
+                "period_s": entry.trace.period_s,
+            }
+        )
     index = {
         "distance_threshold": db.distance_threshold,
         "metric_thresholds": dict(sorted(db.metric_thresholds.items())),
         "metrics_used": sorted(k.name for k in db.metrics_used),
         "source_session_ids": list(db.source_session_ids),
-        "entries": [],
+        "entries": entries,
     }
+    write_json(os.path.join(path, "db.json"), index)
+    kept = {item["file"] for item in entries}
     try:
-        for i, entry in enumerate(db.entries):
-            fname = f"entry{i:04d}.csv"
-            with open(os.path.join(path, fname), "w", encoding="utf-8") as fh:
-                fh.write(f"t,{entry.metric.name}\n")
-                period = entry.trace.period_s
-                for j, v in enumerate(entry.trace.samples):
-                    fh.write(f"{fmt(j * period)},{fmt(v)}\n")
-            index["entries"].append(
-                {
-                    "app_label": entry.app_label,
-                    "metric": entry.metric.name,
-                    "file": fname,
-                    "period_s": entry.trace.period_s,
-                }
-            )
-        with open(os.path.join(path, "db.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(index, sort_keys=True, indent=2))
-            fh.write("\n")
-        kept = {item["file"] for item in index["entries"]}
         for name in os.listdir(path):
             if _ENTRY_FILE.fullmatch(name) and name not in kept:
                 os.remove(os.path.join(path, name))
     except OSError as exc:
-        raise IoError(f"cannot write fingerprint db to {path}: {exc}") from exc
+        raise IoError(f"{path}: cannot remove stale entries ({exc.strerror or exc})") from exc
 
 
 def load_fingerprint_db(path: str) -> FingerprintDb:
@@ -377,50 +382,23 @@ def load_fingerprint_db(path: str) -> FingerprintDb:
     JSON, a missing key, a value of the wrong type, a non-numeric or
     non-finite sample, an invalid threshold) raises ParseError.
     """
-    index_path = os.path.join(path, "db.json")
-    if not os.path.exists(index_path):
-        raise IoError(f"no fingerprint database at {path}")
-    try:
-        with open(index_path, encoding="utf-8") as fh:
-            index = json.load(fh)
-        return FingerprintDb(
-            entries=tuple(_load_entry(path, item) for item in index["entries"]),
-            metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
-            distance_threshold=float(index["distance_threshold"]),
-            metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
-            source_session_ids=tuple(index.get("source_session_ids", ())),
-        )
-    except OSError as exc:
-        raise IoError(f"cannot read fingerprint db at {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"db.json: invalid JSON ({exc.msg})") from exc
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return read_json(os.path.join(path, "db.json"), lambda index: _db_from_index(path, index))
+
+
+def _db_from_index(path: str, index: Mapping) -> FingerprintDb:
+    return FingerprintDb(
+        entries=tuple(_load_entry(path, item) for item in index["entries"]),
+        metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
+        distance_threshold=float(index["distance_threshold"]),
+        metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
+        source_session_ids=tuple(index.get("source_session_ids", ())),
+    )
 
 
 def _load_entry(path: str, item: Mapping) -> FingerprintEntry:
     kind = metric_by_name(item["metric"])
-    name = item["file"]
-    samples = []
-    with open(os.path.join(path, name), encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != f"t,{kind.name}":
-            raise ParseError(f"{name}: unexpected header {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{name}:{lineno}: expected 2 fields")
-            try:
-                samples.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(f"{name}:{lineno}: not a number: {parts[1]!r}") from None
-    try:
-        trace = MetricTrace(kind, np.array(samples), period_s=float(item["period_s"]))
-    except ValueError as exc:
-        raise ParseError(f"{name}: {exc}") from exc
+    kinds, rows = read_trace_csv(os.path.join(path, item["file"]))
+    if kinds != [kind]:
+        raise ParseError(f"{item['file']}: header must be t,{kind.name}")
+    trace = MetricTrace(kind, rows[:, 1], period_s=float(item["period_s"]))
     return FingerprintEntry(item["app_label"], kind, trace)

@@ -10,9 +10,7 @@ hidden layers use tanh, the output is affine.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,12 +21,10 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     InsufficientData,
-    IoError,
     NonFiniteInput,
-    ParseError,
 )
 from .select import CorrelationReport, Target, trace_summary
-from .tracemodel import MetricKind, SessionRecord
+from .tracemodel import MetricKind, SessionRecord, read_json, write_json
 
 LAMBDA_CAP = 1e12
 REL_ERR_FLOOR = 1e-9
@@ -549,27 +545,8 @@ def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
 
 
 def save_model(model: MlpModel, path: str, report: Optional[FitReport] = None) -> None:
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(model_to_obj(model, report), sort_keys=True, indent=2))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model to {path}: {exc}") from exc
+    write_json(path, model_to_obj(model, report))
 
 
 def load_model(path: str) -> tuple[MlpModel, Optional[FitReport]]:
-    if not os.path.exists(path):
-        raise IoError(f"no model file at {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # also an int literal over sys.get_int_max_str_digits()
-            msg = getattr(exc, "msg", exc)
-            raise ParseError(f"{os.path.basename(path)}: invalid JSON ({msg})") from exc
-    try:
-        return model_from_obj(obj)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return read_json(path, model_from_obj)

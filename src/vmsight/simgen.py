@@ -220,11 +220,6 @@ class AppTemplate:
         factor = 1.0 + self.interference_slope * float(interference)
         return base * factor if not self.higher_is_better else base / factor
 
-    def canonical_cpu(self, n_samples: int, period_s: float) -> np.ndarray:
-        shape = self.base_shapes[CPU_UTIL]
-        wave = render_waveform(shape.waveform, n_samples, period_s)
-        return wave * (1.0 + shape.workload_gain * 0.5)
-
     def mean_usage(self) -> dict[Category, float]:
         """Mean resource usage per category, normalized to [0, 1] scales.
 

@@ -9,12 +9,14 @@ sidecar with the labels).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import IO, Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -174,6 +176,10 @@ def _opt_fmt(v: Optional[float]) -> Optional[str]:
     return None if v is None else fmt(v)
 
 
+def _opt_quant(v: Optional[float]) -> Optional[float]:
+    return None if v is None else quantize(v)
+
+
 def records_equal(a: SessionRecord, b: SessionRecord) -> bool:
     """Field-by-field equality, floats compared at SIG_DIGITS precision."""
     if a.session_id != b.session_id or a.app_label != b.app_label:
@@ -185,33 +191,154 @@ def records_equal(a: SessionRecord, b: SessionRecord) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# File I/O: how every vmsight artifact is read and written
+# ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+@contextlib.contextmanager
+def _reading(path: str) -> Iterator[IO[bytes]]:
+    """Open ``path`` for reading bytes; an OSError, on open or while
+    reading, becomes IoError."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
+def _read_bytes(path: str) -> bytes:
+    with _reading(path) as fh:
+        return fh.read()
+
+
+def parse_json(data: bytes, where: str) -> Any:
+    """Decode UTF-8 ``data`` as one JSON document; any failure is a
+    ParseError naming ``where``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8, or an int literal longer than
+        # sys.get_int_max_str_digits(); RecursionError: nesting too deep
+        raise ParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+
+
+def read_json(path: str, build: Callable[[Any], T]) -> T:
+    """Load the JSON file at ``path`` and turn it into an object with ``build``.
+
+    An unreadable file raises IoError.  Invalid JSON, and content ``build``
+    rejects with KeyError, TypeError, ValueError, AttributeError or
+    OverflowError, raise ParseError naming the file.
+    """
+    where = os.path.basename(path)
+    obj = parse_json(_read_bytes(path), where)
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """Stream UTF-8 text to ``<path>.tmp`` and rename it over ``path`` on a
+    clean exit, creating parent directories as needed.
+
+    On any failure the tmp file is removed and ``path`` keeps what it held
+    before; an OSError becomes IoError.  There is no fsync, so a machine
+    crash may still lose the new content.
+    """
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+        raise
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as key-sorted, indented JSON through atomic_write."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write("\n")
+
+
+def write_trace_csv(path: str, traces: Sequence[MetricTrace], period_s: float) -> None:
+    """Write equal-length traces as a ``t,<metric>,...`` file, one row per
+    sample, through atomic_write."""
+    with atomic_write(path) as fh:
+        fh.write("t," + ",".join(t.metric.name for t in traces) + "\n")
+        for i, row in enumerate(zip(*(t.samples for t in traces))):
+            fh.write(",".join([fmt(i * period_s), *map(fmt, row)]) + "\n")
+
+
+def read_trace_csv(path: str) -> tuple[list[MetricKind], np.ndarray]:
+    """Read a file written by write_trace_csv: the metrics its header names,
+    and its rows as floats, column 0 the time and column j the j-th metric.
+
+    Every row must have as many fields as the header, each a finite number,
+    and there must be at least two rows; otherwise ParseError naming the
+    file and, where there is one, the line.
+    """
+    name = os.path.basename(path)
+    try:
+        lines = _read_bytes(path).decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    cols = lines[0].strip().split(",") if lines else []
+    if len(cols) < 2 or cols[0] != "t":
+        raise ParseError(f"{name}:1: header must be t,<metric>,...")
+    kinds = [metric_by_name(c) for c in cols[1:]]
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(cols):
+            raise ParseError(f"{name}:{lineno}: expected {len(cols)} fields")
+        row = []
+        for part in parts:
+            try:
+                v = float(part)
+            except ValueError:
+                raise ParseError(f"{name}:{lineno}: not a number: {part!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{name}:{lineno}: non-finite value {part!r}")
+            row.append(v)
+        rows.append(row)
+    if len(rows) < 2:
+        raise ParseError(f"{name}: needs >= 2 rows")
+    return kinds, np.array(rows)
+
+
+# ---------------------------------------------------------------------------
 # JSONL format
 # ---------------------------------------------------------------------------
 
-_JSONL_KEYS = {
-    "session_id",
-    "app_label",
-    "period_s",
-    "workload_level",
-    "performance",
-    "interference_level",
-    "traces",
-}
+_LEVELS = ("workload_level", "performance", "interference_level")
+_META_KEYS = {"app_label", *_LEVELS}
+_JSONL_KEYS = {"session_id", "period_s", "traces", *_META_KEYS}
+
+
+def _labels_to_obj(record: SessionRecord) -> dict:
+    return {"app_label": record.app_label, **{k: _opt_quant(getattr(record, k)) for k in _LEVELS}}
 
 
 def _record_to_obj(record: SessionRecord) -> dict:
     # Missing optional fields serialize as explicit nulls, never omitted keys.
     return {
         "session_id": record.session_id,
-        "app_label": record.app_label,
         "period_s": quantize(record.period_s),
-        "workload_level": None
-        if record.workload_level is None
-        else quantize(record.workload_level),
-        "performance": None if record.performance is None else quantize(record.performance),
-        "interference_level": None
-        if record.interference_level is None
-        else quantize(record.interference_level),
+        **_labels_to_obj(record),
         "traces": {
             kind.name: [quantize(v) for v in trace.samples]
             for kind, trace in sorted(record.traces.items(), key=lambda kv: kv[0].name)
@@ -254,6 +381,14 @@ def _samples(values: list, where: str) -> np.ndarray:
     return np.array([_num(v, f"{where} sample {i}") for i, v in enumerate(values)])
 
 
+def _labels(obj: dict, where: str) -> dict:
+    """The checked label fields of a JSONL record or a CSV sidecar."""
+    app_label = obj["app_label"]
+    if app_label is not None and not isinstance(app_label, str):
+        raise ParseError(f"{where}: app_label must be a string or null")
+    return {"app_label": app_label, **{k: _num(obj[k], f"{where}: {k}", True) for k in _LEVELS}}
+
+
 def _record_from_obj(obj: dict, where: str) -> SessionRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -266,9 +401,7 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
     session_id = obj["session_id"]
     if not isinstance(session_id, str) or not session_id:
         raise ParseError(f"{where}: session_id must be a non-empty string")
-    app_label = obj["app_label"]
-    if app_label is not None and not isinstance(app_label, str):
-        raise ParseError(f"{where}: app_label must be a string or null")
+    labels = _labels(obj, where)
     period = _num(obj["period_s"], f"{where}: period_s")
     traces_obj = obj["traces"]
     if not isinstance(traces_obj, dict) or not traces_obj:
@@ -281,83 +414,52 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
         samples = _samples(values, f"{where}: trace {name!r}")
         traces[kind] = MetricTrace(kind, samples, period_s=period)
     try:
-        return SessionRecord(
-            session_id=session_id,
-            traces=traces,
-            app_label=app_label,
-            workload_level=_num(obj["workload_level"], f"{where}: workload_level", True),
-            performance=_num(obj["performance"], f"{where}: performance", True),
-            interference_level=_num(
-                obj["interference_level"], f"{where}: interference_level", True
-            ),
-        )
+        return SessionRecord(session_id=session_id, traces=traces, **labels)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
 def _load_jsonl_file(path: str) -> list[SessionRecord]:
+    name = os.path.basename(path)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{os.path.basename(path)}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an int literal over sys.get_int_max_str_digits()
-                raise ParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-            records.append(_record_from_obj(obj, where))
+            where = f"{name}:{lineno}"
+            records.append(_record_from_obj(parse_json(line, where), where))
     return records
 
 
 def _save_jsonl(records: Sequence[SessionRecord], path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(json.dumps(_record_to_obj(record), sort_keys=True))
             fh.write("\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
 # CSV format: one <session_id>.csv per session plus <session_id>.meta.json
 # ---------------------------------------------------------------------------
 
-_META_KEYS = {"app_label", "workload_level", "performance", "interference_level"}
-
 
 def _save_csv(records: Sequence[SessionRecord], path: str) -> None:
-    os.makedirs(path, exist_ok=True)
     for record in records:
-        names = record.metric_names()
-        lengths = {len(record.trace(n)) for n in names}
-        if len(lengths) != 1:
+        traces = [record.trace(n) for n in record.metric_names()]
+        if len({len(t) for t in traces}) != 1:
             raise IoError(
                 f"session {record.session_id}: CSV format requires equal-length traces"
             )
-        n = lengths.pop()
-        period = record.period_s
-        csv_path = os.path.join(path, f"{record.session_id}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            columns = [record.trace(name).samples for name in names]
-            for i in range(n):
-                row = [fmt(i * period)] + [fmt(col[i]) for col in columns]
-                fh.write(",".join(row) + "\n")
-        meta = {
-            "app_label": record.app_label,
-            "workload_level": _opt_quant(record.workload_level),
-            "performance": _opt_quant(record.performance),
-            "interference_level": _opt_quant(record.interference_level),
-        }
-        with open(os.path.join(path, f"{record.session_id}.meta.json"), "w") as fh:
-            fh.write(json.dumps(meta, sort_keys=True, indent=2))
-            fh.write("\n")
+        base = os.path.join(path, record.session_id)
+        write_trace_csv(base + ".csv", traces, record.period_s)
+        write_json(base + ".meta.json", _labels_to_obj(record))
 
 
-def _opt_quant(v: Optional[float]) -> Optional[float]:
-    return None if v is None else quantize(v)
+def _sidecar_labels(where: str, meta) -> dict:
+    if not isinstance(meta, dict) or set(meta) != _META_KEYS:
+        raise ParseError(f"{where}: keys must be {sorted(_META_KEYS)}")
+    return _labels(meta, where)
 
 
 def _load_csv_session(csv_path: str) -> SessionRecord:
@@ -365,66 +467,18 @@ def _load_csv_session(csv_path: str) -> SessionRecord:
     meta_path = csv_path[: -len(".csv")] + ".meta.json"
     if not os.path.exists(meta_path):
         raise ParseError(f"{session_id}: missing sidecar {os.path.basename(meta_path)}")
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{os.path.basename(meta_path)}: invalid JSON") from exc
-    if set(meta) != _META_KEYS:
-        raise ParseError(f"{os.path.basename(meta_path)}: keys must be {sorted(_META_KEYS)}")
-
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 2 or cols[0] != "t":
-            raise ParseError(f"{session_id}.csv:1: header must be t,<metric>,...")
-        kinds = [metric_by_name(c) for c in cols[1:]]
-        times: list[float] = []
-        columns: list[list[float]] = [[] for _ in kinds]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise ParseError(f"{session_id}.csv:{lineno}: expected {len(cols)} fields")
-            for j, part in enumerate(parts):
-                try:
-                    v = float(part)
-                except ValueError:
-                    raise ParseError(
-                        f"{session_id}.csv:{lineno}: not a number: {part!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{session_id}.csv:{lineno}: non-finite value {part!r}")
-                if j == 0:
-                    times.append(v)
-                else:
-                    columns[j - 1].append(v)
-    if len(times) < 2:
-        raise ParseError(f"{session_id}.csv: needs >= 2 rows")
-    steps = np.diff(np.array(times))
+    labels = read_json(meta_path, partial(_sidecar_labels, os.path.basename(meta_path)))
+    kinds, rows = read_trace_csv(csv_path)
+    steps = np.diff(rows[:, 0])
     period = float(steps[0])
     if period <= 0 or not np.allclose(steps, period, rtol=1e-6, atol=1e-9):
         raise ParseError(f"{session_id}.csv: time column is not uniformly spaced")
     traces = {
-        kind: MetricTrace(kind, np.array(col), period_s=period)
-        for kind, col in zip(kinds, columns)
+        kind: MetricTrace(kind, rows[:, j], period_s=period)
+        for j, kind in enumerate(kinds, start=1)
     }
-    app_label = meta["app_label"]
-    if app_label is not None and not isinstance(app_label, str):
-        raise ParseError(f"{session_id}: app_label must be a string or null")
     try:
-        return SessionRecord(
-            session_id=session_id,
-            traces=traces,
-            app_label=app_label,
-            workload_level=_num(meta["workload_level"], f"{session_id}: workload_level", True),
-            performance=_num(meta["performance"], f"{session_id}: performance", True),
-            interference_level=_num(
-                meta["interference_level"], f"{session_id}: interference_level", True
-            ),
-        )
+        return SessionRecord(session_id=session_id, traces=traces, **labels)
     except ValueError as exc:
         raise ParseError(f"{session_id}: {exc}") from exc
 
@@ -488,10 +542,7 @@ def save_corpus(records: Sequence[SessionRecord], path: str, format: str = "json
     if not records:
         raise EmptyCorpus("refusing to save an empty corpus")
     ordered = sorted(records, key=lambda r: r.session_id)
-    try:
-        if format == "jsonl":
-            _save_jsonl(ordered, path)
-        else:
-            _save_csv(ordered, path)
-    except OSError as exc:
-        raise IoError(f"cannot write corpus to {path}: {exc}") from exc
+    if format == "jsonl":
+        _save_jsonl(ordered, path)
+    else:
+        _save_csv(ordered, path)

@@ -355,6 +355,104 @@ class TestConfigFile:
         assert "ConfigInvalid" in err
 
 
+HUGE_INT = "1" * 5000  # over Python's 4,300-digit int conversion limit
+
+
+def _profiles_case(write):
+    def setup(ws, tmp):
+        write(tmp / "p.json")
+        return ["train", "--corpus", ws["corpus"], "--profiles", str(tmp / "p.json"),
+                "--models", str(tmp / "m")]
+
+    return setup
+
+
+def _config_case(write):
+    def setup(ws, tmp):
+        write(tmp / "cfg.json")
+        return ["--config", str(tmp / "cfg.json"), "identify", "--db", ws["db"]]
+
+    return setup
+
+
+def _csv_corpus_case(corrupt):
+    def setup(ws, tmp):
+        corpus = tmp / "corpus"
+        assert main(["simulate", "--out", str(corpus), "--format", "csv", "--sessions", "3",
+                     "--duration-s", "10", "--seed", "1"]) == 0
+        corrupt(corpus)
+        return ["fingerprint", "--corpus", str(corpus), "--format", "csv",
+                "--out", str(tmp / "db")]
+
+    return setup
+
+
+def _write(text):
+    return lambda path: path.write_bytes(text if isinstance(text, bytes) else text.encode())
+
+
+def _first(pattern, text):
+    return lambda corpus: _write(text)(sorted(corpus.glob(pattern))[0])
+
+
+def _jsonl_case(ws, tmp):
+    (tmp / "c.jsonl").write_bytes(b"\xff\xfe{}\n")
+    return ["fingerprint", "--corpus", str(tmp / "c.jsonl"), "--out", str(tmp / "db")]
+
+
+class TestBadFiles:
+    """Each bad input file ends in exit 1 with a typed error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "setup, error",
+        [
+            pytest.param(_profiles_case(_write('{"a": ' + HUGE_INT + "}")), "ParseError",
+                         id="profiles-huge-int"),
+            pytest.param(_profiles_case(_write("[]")), "ParseError", id="profiles-list"),
+            pytest.param(_profiles_case(_write('{"data_serving": []}')), "ParseError",
+                         id="profiles-entry-list"),
+            pytest.param(_profiles_case(lambda path: path.mkdir()), "IoError",
+                         id="profiles-dir"),
+            pytest.param(_profiles_case(_write("[" * 100000)), "ParseError",
+                         id="profiles-deep-nesting"),
+            pytest.param(_config_case(_write('{"seed": ' + HUGE_INT + "}")), "ConfigInvalid",
+                         id="config-huge-int"),
+            pytest.param(_config_case(_write("5")), "ConfigInvalid", id="config-number"),
+            pytest.param(_config_case(lambda path: path.mkdir()), "ConfigInvalid",
+                         id="config-dir"),
+            pytest.param(_jsonl_case, "ParseError", id="jsonl-bad-utf8"),
+            pytest.param(
+                _csv_corpus_case(_first("*.csv", b"t,cpu_util_pct\n\xff,1\n")),
+                "ParseError",
+                id="csv-bad-utf8",
+            ),
+            pytest.param(
+                _csv_corpus_case(_first(
+                    "*.meta.json",
+                    '{"app_label": null, "workload_level": null, "performance": null, '
+                    '"interference_level": ' + HUGE_INT + "}"
+                )),
+                "ParseError",
+                id="sidecar-huge-int",
+            ),
+            pytest.param(_csv_corpus_case(_first("*.meta.json", "5")), "ParseError",
+                         id="sidecar-number"),
+            pytest.param(
+                lambda ws, tmp: ["select-metrics", "--corpus", ws["corpus"],
+                                 "--app", "web_serving", "--out", str(tmp)],
+                "IoError",
+                id="out-dir",
+            ),
+        ],
+    )
+    def test_bad_file_is_a_typed_error(self, capsys, workspace, tmp_path, setup, error):
+        argv = setup(workspace, tmp_path)
+        capsys.readouterr()
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"{error}: ")
+
+
 class TestDeterminism:
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -20,6 +20,13 @@ from vmsight.simgen import (
 from vmsight.tracemodel import CPU_UTIL, MetricTrace, save_corpus
 
 
+def _canonical_cpu(template, n_samples, period_s):
+    """The noise-free CPU waveform of ``template`` at half its workload gain."""
+    shape = template.base_shapes[CPU_UTIL]
+    wave = render_waveform(shape.waveform, n_samples, period_s)
+    return wave * (1.0 + shape.workload_gain * 0.5)
+
+
 class TestWaveforms:
     def test_constant(self):
         wave = render_waveform(((1.0, Constant(42.0)),), 50, 1.0)
@@ -213,7 +220,7 @@ class TestDistinctness:
                 )
             within[name] = float(np.mean(dists))
         canon = {
-            name: MetricTrace(CPU_UTIL, t.canonical_cpu(120, 1.0))
+            name: MetricTrace(CPU_UTIL, _canonical_cpu(t, 120, 1.0))
             for name, t in templates.items()
         }
         for a in templates:
