@@ -32,21 +32,6 @@ from .identify import (
 
 CONFIG_ENV = "CLOUDPROPHET_CONFIG"
 
-_CONFIG_KEYS = {
-    "corpus",
-    "db",
-    "models",
-    "profiles",
-    "out",
-    "seed",
-    "threshold_corr",
-    "threshold_dtw",
-    "jobs",
-    "json",
-    "format",
-    "min_trace_len",
-}
-
 _DEFAULTS = {
     "seed": 0,
     "threshold_corr": select.DEFAULT_CORR_THRESHOLD,
@@ -69,12 +54,39 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigInvalid(str(exc)) from exc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# every config key, the check its value must pass, and how a bad one is described
+_CONFIG_TYPES = {
+    **{k: (lambda v: isinstance(v, str), "a string")
+       for k in ("corpus", "db", "models", "profiles", "out")},
+    **{k: (_is_int, "an integer") for k in ("seed", "jobs", "min_trace_len")},
+    "threshold_corr": (_is_number, "a number"),
+    "threshold_dtw": (
+        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+        "an object of metric -> number",
+    ),
+    "json": (lambda v: isinstance(v, bool), "true or false"),
+    "format": (lambda v: v in ("jsonl", "csv"), '"jsonl" or "csv"'),
+}
+
+
 def _check_config(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise TypeError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in sorted(cfg.items()):
+        valid, expected = _CONFIG_TYPES[key]
+        if not valid(value):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     return cfg
 
 

@@ -300,20 +300,23 @@ def _design_matrix(records, purpose, input_metrics, reduce):
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
-def train(
-    records: Sequence[SessionRecord],
-    purpose: Purpose,
-    selected_metrics: Optional[CorrelationReport] = None,
-    cfg: TrainConfig = TrainConfig(),
-) -> tuple[MlpModel, FitReport]:
-    """Fit one regressor with Levenberg-Marquardt updates on the MSE.
+@dataclass(frozen=True)
+class _Prepared:
+    """What ``train`` derives from its records before the LM loop: the
+    inputs, the split, the design matrices and their normalization.  It
+    depends on the records, the purpose, the selection and cfg.split and
+    cfg.rng_seed, never on the net's widths."""
 
-    Updates solve (J'J + lambda*I) delta = J'r; lambda shrinks by
-    lambda_down on accepted steps and grows by lambda_up on rejections.
-    Training stops at max_epochs or after early_stop_patience epochs without
-    validation improvement, and the best-validation weights are returned.
-    Deterministic given cfg.rng_seed.
-    """
+    input_metrics: tuple[MetricKind, ...]
+    reduce: str
+    splits: dict[str, tuple[str, ...]]
+    parts: dict[str, tuple[np.ndarray, np.ndarray]]
+    in_norm: tuple[np.ndarray, np.ndarray]
+    out_mean: float
+    out_std: float
+
+
+def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
     records = list(records)
     if len(records) < 20:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
@@ -342,8 +345,39 @@ def train(
     in_mean = np.mean(x_train, axis=0)
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
-    out_mean = float(np.mean(y_train))
-    out_std = float(np.std(y_train))
+    return _Prepared(
+        input_metrics, reduce, splits, parts, (in_mean, in_std),
+        float(np.mean(y_train)), float(np.std(y_train)),
+    )
+
+
+def train(
+    records: Sequence[SessionRecord],
+    purpose: Purpose,
+    selected_metrics: Optional[CorrelationReport] = None,
+    cfg: TrainConfig = TrainConfig(),
+    *,
+    prepared: Optional[_Prepared] = None,
+) -> tuple[MlpModel, FitReport]:
+    """Fit one regressor with Levenberg-Marquardt updates on the MSE.
+
+    Updates solve (J'J + lambda*I) delta = J'r; lambda shrinks by
+    lambda_down on accepted steps and grows by lambda_up on rejections.
+    Training stops at max_epochs or after early_stop_patience epochs without
+    validation improvement, and the best-validation weights are returned.
+    Deterministic given cfg.rng_seed.
+
+    ``prepared`` is for hyper_search, which prepares the split and design
+    matrices once for every config sharing cfg.split and cfg.rng_seed; it
+    must come from ``_prepare`` on these same arguments.
+    """
+    if prepared is None:
+        prepared = _prepare(records, purpose, selected_metrics, cfg)
+    input_metrics, reduce = prepared.input_metrics, prepared.reduce
+    parts, splits = prepared.parts, prepared.splits
+    in_mean, in_std = prepared.in_norm
+    out_mean, out_std = prepared.out_mean, prepared.out_std
+    x_train, y_train = parts["train"]
 
     dims = [x_train.shape[1], *cfg.hidden_sizes, 1]
 
@@ -470,9 +504,15 @@ def hyper_search(
     grid = list(cfg_grid)
     if not grid:
         raise ConfigInvalid("hyperparameter grid is empty")
+    prepared: dict[tuple, _Prepared] = {}
     best = None
     for cfg in grid:
-        model, report = train(records, purpose, selected_metrics, cfg)
+        split_key = (cfg.split, cfg.rng_seed)
+        if split_key not in prepared:
+            prepared[split_key] = _prepare(records, purpose, selected_metrics, cfg)
+        model, report = train(
+            records, purpose, selected_metrics, cfg, prepared=prepared[split_key]
+        )
         key = (report.errors["val"]["mean"], model.parameter_count())
         if best is None or key < best[0]:
             best = (key, model, report)

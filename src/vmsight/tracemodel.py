@@ -82,6 +82,42 @@ def quantize(value: float) -> float:
     return float(format(float(value), f".{SIG_DIGITS}g"))
 
 
+# 10**0 .. 10**22 are exact doubles (5**22 < 2**53)
+_POW10 = np.array([float(10**i) for i in range(23)])
+
+
+def quantize_array(values) -> np.ndarray:
+    """``quantize`` of every element, bit for bit, without a Python call per
+    element.
+
+    With k = SIG_DIGITS - 1 - floor(log10|v|), the product p = |v| * 10**k
+    (or |v| / 10**-k) lies in [1e8, 1e9) and n = rint(p) is the 9-digit
+    mantissa; n / 10**k (or n * 10**-k) is then one correctly rounded IEEE
+    operation on exact operands, which is what parsing "<n>e-<k>" gives.
+    p is one rounding away from the exact product, off by at most ~6e-8,
+    so the rounding is decided except within 1e-6 of a tie.  Such samples,
+    p below 1e8 (log10 off by one), n reaching 1e9, |k| > 22 (no exact
+    power of ten), zero, subnormals and non-finite values go through the
+    scalar ``quantize`` instead.
+    """
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (SIG_DIGITS - 1) - np.floor(np.log10(a))
+        ok = np.abs(k) <= 22  # False for zero, subnormals, inf and NaN
+        ki = np.where(ok, k, 0).astype(np.intp)
+        scale = _POW10[np.abs(ki)]
+        up = ki >= 0
+        p = np.where(up, a * scale, a / scale)
+        n = np.rint(p)
+        lo, hi = _POW10[SIG_DIGITS - 1], _POW10[SIG_DIGITS]
+        ok &= (p >= lo) & (n < hi) & (np.abs(p - np.floor(p) - 0.5) > 1e-6)
+        out = np.copysign(np.where(up, n / scale, n * scale), v)
+    for i in np.flatnonzero(~ok):
+        out[i] = quantize(v[i])
+    return out
+
+
 def fmt(value: float) -> str:
     return format(float(value), f".{SIG_DIGITS}g")
 
@@ -121,7 +157,10 @@ class MetricTrace:
             self.metric == other.metric
             and fmt(self.period_s) == fmt(other.period_s)
             and len(self) == len(other)
-            and all(fmt(a) == fmt(b) for a, b in zip(self.samples, other.samples))
+            and np.array_equal(
+                quantize_array(self.samples).view(np.int64),
+                quantize_array(other.samples).view(np.int64),
+            )
         )
 
 
@@ -340,7 +379,7 @@ def _record_to_obj(record: SessionRecord) -> dict:
         "period_s": quantize(record.period_s),
         **_labels_to_obj(record),
         "traces": {
-            kind.name: [quantize(v) for v in trace.samples]
+            kind.name: quantize_array(trace.samples).tolist()
             for kind, trace in sorted(record.traces.items(), key=lambda kv: kv[0].name)
         },
     }

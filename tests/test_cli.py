@@ -354,6 +354,47 @@ class TestConfigFile:
         assert code == 1
         assert "ConfigInvalid" in err
 
+    def test_config_of_every_key_with_valid_values_runs(self, capsys, workspace, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus": workspace["corpus"], "db": workspace["db"], "models": workspace["models"],
+            "profiles": "builtin", "out": str(tmp_path / "out.json"), "seed": 0,
+            "threshold_corr": 0.5, "threshold_dtw": {"cpu_util_pct": 1}, "jobs": 1,
+            "json": True, "format": "jsonl", "min_trace_len": 60,
+        }))
+        code, out, _ = run(capsys, "--config", str(cfg_path), "identify")
+        assert code == 0
+        json.loads(out)
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            pytest.param({"seed": "abc"}, ["simulate", "--sessions", "1", "--duration-s", "10"],
+                         id="seed-string"),
+            pytest.param({"threshold_dtw": 5}, ["fingerprint"], id="threshold-dtw-number"),
+            pytest.param({"threshold_dtw": {"cpu_util_pct": "x"}}, ["fingerprint"],
+                         id="threshold-dtw-string-value"),
+            pytest.param({"jobs": "two"}, ["identify"], id="jobs-string"),
+            pytest.param({"min_trace_len": 1.5}, ["identify"], id="min-trace-len-float"),
+            pytest.param({"seed": True}, ["simulate"], id="seed-bool"),
+            pytest.param({"threshold_corr": "0.5"}, ["select-metrics", "--app", "web_serving"],
+                         id="threshold-corr-string"),
+            pytest.param({"json": 1}, ["identify"], id="json-number"),
+            pytest.param({"format": "xml"}, ["identify"], id="format-unknown"),
+            pytest.param({"db": 5}, ["identify"], id="db-number"),
+        ],
+    )
+    def test_config_value_of_wrong_type_is_config_invalid(
+        self, capsys, workspace, tmp_path, config, argv
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": workspace["corpus"], "db": workspace["db"],
+                                        "out": str(tmp_path / "out"), **config}))
+        code, _, err = run(capsys, "--config", str(cfg_path), *argv)
+        assert code == 1
+        assert err.startswith("ConfigInvalid: ")
+        assert repr(next(iter(config))) in err
+
 
 HUGE_INT = "1" * 5000  # over Python's 4,300-digit int conversion limit
 

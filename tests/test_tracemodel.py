@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vmsight import tracemodel
 from vmsight.errors import EmptyCorpus, ParseError
-from vmsight.simgen import ScenarioConfig, default_templates, generate
+from vmsight.simgen import ScenarioConfig, default_templates, generate, generate_isolated
 from vmsight.tracemodel import (
     CPU_UTIL,
     NET_RX,
@@ -15,7 +16,10 @@ from vmsight.tracemodel import (
     MetricTrace,
     SessionRecord,
     _samples,
+    fmt,
     load_corpus,
+    quantize,
+    quantize_array,
     records_equal,
     save_corpus,
 )
@@ -194,6 +198,77 @@ class TestSamples:
         path.write_text(path.read_text().replace("41.0", "4" * 5000, 1))
         with pytest.raises(ParseError, match=r"c\.jsonl:1: invalid JSON \(Exceeds the limit"):
             load_corpus(str(path))
+
+
+def _midpoints(mantissa: int, exponent: int) -> list[float]:
+    """The double nearest a 9-digit tie (a 10-digit decimal ending in 5),
+    and its neighbours one ulp below and above."""
+    mid = float(f"{mantissa}5e{exponent}")
+    return [np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)]
+
+
+QUANTIZE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-15, 1e-14, 1e22,
+                  1e23, 1.7e308, -1.7e308, 999999999.5, 99999999.95, 9.999999995e5,
+                  *_midpoints(123456789, -3), *_midpoints(999999999, 0),
+                  *_midpoints(100000000, -20), *_midpoints(314159265, 14)]
+
+midpoint_values = st.builds(
+    _midpoints, st.integers(10**8, 10**9 - 1), st.integers(-333, 298)
+).flatmap(st.sampled_from)
+quantize_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(QUANTIZE_EDGES),
+    midpoint_values,
+    midpoint_values.map(lambda v: -v),
+)
+
+
+class TestQuantizeArray:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(quantize_inputs, min_size=1, max_size=50))
+    def test_matches_scalar_quantize_bit_for_bit(self, values):
+        expected = np.array([quantize(v) for v in values])
+        assert np.array_equal(quantize_array(values).view(np.int64), expected.view(np.int64))
+
+    def test_edge_cases(self):
+        values = np.array(QUANTIZE_EDGES)
+        expected = np.array([quantize(v) for v in values])
+        assert np.array_equal(quantize_array(values).view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(quantize_inputs, min_size=2, max_size=20), st.data())
+    def test_trace_equality_agrees_with_per_sample_fmt(self, values, data):
+        # each sample of the second trace is the same, one ulp off (but
+        # finite), the other zero, or anything else
+        def partner(v):
+            up, down = (float(np.nextafter(v, d)) for d in (np.inf, -np.inf))
+            return data.draw(st.one_of(
+                st.just(v),
+                st.just(up if np.isfinite(up) else v),
+                st.just(down if np.isfinite(down) else v),
+                st.just(-v if v == 0.0 else v),
+                quantize_inputs,
+            ))
+
+        other = [partner(v) for v in values]
+        a, b = MetricTrace(CPU_UTIL, values), MetricTrace(CPU_UTIL, other)
+        assert (a == b) == all(fmt(x) == fmt(y) for x, y in zip(values, other))
+
+    def test_signed_zeros_differ(self):
+        assert MetricTrace(CPU_UTIL, [0.0, 1.0]) != MetricTrace(CPU_UTIL, [-0.0, 1.0])
+
+    def test_saved_corpus_bytes_are_pinned(self, tmp_path):
+        cfg = ScenarioConfig(session_duration_s=120.0, rng_seed=17)
+        records = generate(cfg, default_templates(), 40) + generate_isolated(
+            cfg, default_templates(), 4
+        )
+        path = tmp_path / "c.jsonl"
+        save_corpus(records, str(path))
+        data = path.read_bytes()
+        assert len(data) == 617_496
+        assert hashlib.sha256(data).hexdigest() == (
+            "a0d61aca7b8c0d1a6ced0344da9ea279b13db4c24ca695e7350494286a226841"
+        )
 
 
 class TestCsv:
