@@ -70,7 +70,6 @@ from .tracemodel import (
     SessionRecord,
     load_corpus,
     records_equal,
-    register_metric,
     save_corpus,
 )
 

@@ -113,14 +113,32 @@ def _emit(args, config, payload: dict, csv_text: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
+def _number(value, flag: str, kind=int, above=None):
+    """``kind(value)``, or ConfigInvalid naming ``flag`` if that fails or
+    is not above ``above``."""
+    try:
+        number = kind(value)
+        if above is None or number > above:
+            return number
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a number"
+    bound = "" if above is None else f" above {above}"
+    raise ConfigInvalid(f"{flag} takes {noun}{bound}, got {value!r}")
+
+
+def _numbers(text: str, flag: str, kind=int, sep: str = ",") -> list:
+    return [_number(item, flag, kind) for item in text.split(sep)]
+
+
 def _parse_threshold_dtw(pairs, config) -> dict[str, float]:
     thresholds = dict(config.get("threshold_dtw", {}))
     for item in pairs or []:
         if "=" not in item:
             raise ConfigInvalid(f"--threshold-dtw expects <metric>=<value>, got {item!r}")
         name, _, value = item.partition("=")
-        thresholds[name] = float(value)
-    return {k: float(v) for k, v in thresholds.items()}
+        thresholds[name] = value
+    return {k: _number(v, f"--threshold-dtw {k}", float, above=0.0) for k, v in thresholds.items()}
 
 
 def _required(args, config, key: str):
@@ -157,7 +175,7 @@ def _load_profiles(args, config):
 
 
 def _cmd_simulate(args, config) -> int:
-    seed = int(_resolve(args, config, "seed"))
+    seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
     templates = simgen.default_templates(amplitude_gain=args.amp_gain)
     cfg = simgen.ScenarioConfig(
         n_vms=args.n_vms,
@@ -196,8 +214,8 @@ def _cmd_fingerprint(args, config) -> int:
     db = build_fingerprint_db(
         records,
         metrics,
-        n_refs_per_app=args.refs_per_app,
-        threshold=args.threshold,
+        n_refs_per_app=_number(args.refs_per_app, "--refs-per-app", above=0),
+        threshold=_number(args.threshold, "--threshold", float, above=0.0),
         metric_thresholds=_parse_threshold_dtw(args.threshold_dtw, config),
     )
     out = _required(args, config, "out")
@@ -261,13 +279,13 @@ def _cmd_train(args, config) -> int:
             raise ConfigInvalid(f"unknown apps: {sorted(missing)}")
         profiles = {k: v for k, v in profiles.items() if k in wanted}
     cfg = neural.TrainConfig(
-        hidden_sizes=tuple(int(h) for h in args.hidden.split(",")),
+        hidden_sizes=tuple(_numbers(args.hidden, "--hidden")),
         max_epochs=args.max_epochs,
-        rng_seed=int(_resolve(args, config, "seed")),
+        rng_seed=_number(_resolve(args, config, "seed"), "--seed", above=-1),
     )
     grid = None
     if args.hidden_grid:
-        grid = [tuple(int(h) for h in w.split("x")) for w in args.hidden_grid.split(",")]
+        grid = [tuple(_numbers(w, "--hidden-grid", sep="x")) for w in args.hidden_grid.split(",")]
     store = degrade.fit_models_for_corpus(
         records,
         profiles,
@@ -329,12 +347,12 @@ def _cmd_predict(args, config) -> int:
 
 
 def _cmd_evaluate(args, config) -> int:
-    seed = int(_resolve(args, config, "seed"))
+    seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
     if args.experiment == "ablation":
         records = _load_sessions(args, config)
         result = evaluate.run_ablation_dtw(
             records,
-            [int(c) for c in args.ref_counts.split(",")],
+            _numbers(args.ref_counts, "--ref-counts"),
             thresholds=_parse_threshold_dtw(args.threshold_dtw, config),
             seed=seed,
             min_test_sessions=args.min_test_sessions,
@@ -344,7 +362,7 @@ def _cmd_evaluate(args, config) -> int:
         result = evaluate.run_sampling_tradeoff(
             cfg,
             simgen.default_templates(),
-            [float(h) for h in args.hours.split(",")],
+            _numbers(args.hours, "--hours", float),
             app=args.app,
         )
     elif args.experiment == "timing":

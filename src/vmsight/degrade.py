@@ -184,13 +184,17 @@ def predict_degradation(
         raise MissingProfile(f"no application profile for {label!r}")
 
     perf_model = models.get(label, Purpose.PERFORMANCE)
-    perf = predict(perf_model, features_for_session(traces, perf_model))
+    perf = predict(
+        perf_model, features_from_traces(traces, perf_model.input_metrics, perf_model.reduce)
+    )
 
     workload = None
     if profile.variable_workload:
         wl_model = models.get(label, Purpose.WORKLOAD)
         base_model = models.get(label, Purpose.BASELINE)
-        workload = predict(wl_model, features_for_session(traces, wl_model))
+        workload = predict(
+            wl_model, features_from_traces(traces, wl_model.input_metrics, wl_model.reduce)
+        )
         base = predict(base_model, [workload])
         lo, hi = profile.baseline_range
         base = min(hi, max(lo, base))  # clamp away net extrapolation artifacts
@@ -206,12 +210,6 @@ def predict_degradation(
         perf_base=float(base),
         deg=float(deg),
     )
-
-
-def features_for_session(
-    traces: Mapping[MetricKind, MetricTrace], model: MlpModel
-) -> list[float]:
-    return features_from_traces(traces, model.input_metrics, model.reduce)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .degrade import AppProfile, ModelStore, predict_degradation
 from .errors import ConfigInvalid, InsufficientData
-from .identify import build_fingerprint_db, identify
-from .neural import Purpose, TrainConfig, features_for, predict, train
+from .identify import _decide, _rows, build_fingerprint_db
+from .neural import Purpose, TrainConfig, features_from_traces, predict, train
 from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
 from .simgen import AppTemplate, ScenarioConfig, generate
 from .tracemodel import SessionRecord, metric_by_name
@@ -84,7 +84,9 @@ def run_ablation_dtw(
     The largest requested reference set is reserved from the corpus front
     (deterministic session_id order); everything else is held out.  The
     no-DTW variant truncates both traces to their common length before the
-    Euclidean distance.
+    Euclidean distance.  Each smaller set is a subset of the largest, so one
+    distance row per held-out session, metric and variant against the largest
+    set serves every count, which keeps the columns of its own references.
     """
     counts = sorted(set(int(c) for c in ref_counts))
     if not counts:
@@ -93,18 +95,25 @@ def run_ablation_dtw(
         raise ConfigInvalid("ref_counts must be positive")
     kinds = [metric_by_name(n) for n in metrics]
     labeled = [r for r in corpus if r.app_label is not None]
-    biggest = build_fingerprint_db(labeled, kinds, counts[-1], metric_thresholds=thresholds or {})
+    dbs = [
+        build_fingerprint_db(labeled, kinds, c, metric_thresholds=thresholds or {})
+        for c in counts
+    ]
+    biggest = dbs[-1]
     held = [r for r in labeled if r.session_id not in set(biggest.source_session_ids)]
     if len(held) < min_test_sessions:
         raise InsufficientData(
             f"only {len(held)} held-out sessions, need >= {min_test_sessions}"
         )
     acc = {"dtw": [], "truncate": []}
-    for count in counts:
-        db = build_fingerprint_db(labeled, kinds, count, metric_thresholds=thresholds or {})
-        for align in ("dtw", "truncate"):
+    for align in acc:
+        rows = [_rows(r.traces, biggest, align=align) for r in held]
+        for db in dbs:
+            # each source session gives one entry per metric, in the same order
+            keep = np.isin(biggest.source_session_ids, db.source_session_ids)
             correct = sum(
-                identify(r.traces, db, align=align).label == r.app_label for r in held
+                _decide({k: row[keep] for k, row in session.items()}, db).label == r.app_label
+                for r, session in zip(held, rows)
             )
             acc[align].append(correct / len(held))
     return ExperimentResult(
@@ -200,7 +209,9 @@ def run_timing(
         raise ConfigInvalid("timing sample must be labeled")
     app = sample.app_label
     perf_model = models.get(app, Purpose.PERFORMANCE)
-    x = features_for(sample, perf_model.input_metrics, perf_model.reduce)
+    x = features_from_traces(
+        sample.traces, perf_model.input_metrics, perf_model.reduce, f"session {sample.session_id}"
+    )
     for _ in range(100):  # warm-up
         predict(perf_model, x)
         predict_degradation(sample.traces, None, profiles, models, label=app)

@@ -11,7 +11,6 @@ rejects sessions that resemble no known application.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -244,13 +243,9 @@ def identify_single(
     db: FingerprintDb,
     align: str = "dtw",
     znorm: bool = False,
-) -> tuple[str, float]:
-    """Match one trace against every same-metric reference.
-
-    Returns the label of the globally nearest reference (the first in
-    database order on a tie) and its distance, or (UNKNOWN, distance) when
-    even the nearest exceeds the metric's rejection threshold.
-    """
+) -> np.ndarray:
+    """Exact distances from one trace to every same-metric reference, in
+    database order."""
     refs = [e for e in db.entries if e.metric == trace.metric]
     if not refs:
         raise NoReferenceForMetric(f"database has no references for {trace.metric.name}")
@@ -265,17 +260,11 @@ def identify_single(
     if znorm:
         qa, ras = _znorm(qa), [_znorm(ra) for ra in ras]
     if align == "dtw":
-        _, dists = _dtw(qa, ras)
-    elif align == "truncate":
+        return _dtw(qa, ras)[1]
+    if align == "truncate":
         # ablation variant: chop both to the common length, no warping
-        dists = [np.linalg.norm(qa[: len(ra)] - ra[: len(qa)]) for ra in ras]
-    else:
-        raise ValueError(f"unknown alignment {align!r}")
-    best = int(np.argmin(dists))
-    best_dist = float(dists[best])
-    if best_dist > db.threshold_for(trace.metric):
-        return UNKNOWN, best_dist
-    return refs[best].app_label, best_dist
+        return np.array([np.linalg.norm(qa[: len(ra)] - ra[: len(qa)]) for ra in ras])
+    raise ValueError(f"unknown alignment {align!r}")
 
 
 def identify(
@@ -292,6 +281,13 @@ def identify(
     labels fall back to the smallest per-metric distance, and a residual tie
     (or an all-rejected session) yields UNKNOWN.
     """
+    return _decide(_rows(traces, db, align, znorm, min_trace_len), db)
+
+
+def _rows(traces, db, align="dtw", znorm=False, min_trace_len=None) -> dict[MetricKind, np.ndarray]:
+    """The ``identify_single`` row of every trace whose metric the database
+    uses and that has at least ``min_trace_len`` samples, in metric-name
+    order."""
     usable = sorted(
         (kind for kind in traces if kind in db.metrics_used), key=lambda k: k.name
     )
@@ -303,34 +299,29 @@ def identify(
         usable = [k for k in usable if len(traces[k]) >= min_trace_len]
         if not usable:
             raise TooShort(f"all usable traces are shorter than {min_trace_len} samples")
+    return {kind: identify_single(traces[kind], db, align=align, znorm=znorm) for kind in usable}
+
+
+def _decide(rows: Mapping[MetricKind, np.ndarray], db: FingerprintDb) -> IdentificationResult:
+    """Label each metric by the nearest reference in its row (the first in
+    database order on a tie, UNKNOWN above the metric's threshold), then
+    vote as ``identify`` describes."""
     per_metric: dict[MetricKind, tuple[str, float]] = {}
     votes: dict[str, int] = {}
-    for kind in usable:
-        label, dist = identify_single(traces[kind], db, align=align, znorm=znorm)
+    for kind, row in rows.items():
+        labels = [e.app_label for e in db.entries if e.metric == kind]
+        nearest = int(np.argmin(row))
+        dist = float(row[nearest])
+        label = UNKNOWN if dist > db.threshold_for(kind) else labels[nearest]
         per_metric[kind] = (label, dist)
         if label != UNKNOWN:
             votes[label] = votes.get(label, 0) + 1
-    winner = _vote_winner(votes, per_metric)
-    return IdentificationResult(label=winner, per_metric=per_metric, votes=votes)
-
-
-def _vote_winner(
-    votes: Mapping[str, int], per_metric: Mapping[MetricKind, tuple[str, float]]
-) -> str:
-    if not votes:
-        return UNKNOWN
-    top = max(votes.values())
+    top = max(votes.values(), default=0)
     leaders = sorted(label for label, count in votes.items() if count == top)
-    if len(leaders) == 1:
-        return leaders[0]
-    # tie: the label with the smallest best per-metric distance wins
-    best: dict[str, float] = {}
-    for label, dist in per_metric.values():
-        if label in leaders and dist < best.get(label, math.inf):
-            best[label] = dist
-    floor = min(best.values())
-    nearest = [label for label in leaders if best[label] == floor]
-    return nearest[0] if len(nearest) == 1 else UNKNOWN
+    if len(leaders) > 1:  # tie: the label with the smallest best per-metric distance wins
+        best = {lab: min(d for got, d in per_metric.values() if got == lab) for lab in leaders}
+        leaders = [lab for lab in leaders if best[lab] == min(best.values())]
+    return IdentificationResult(leaders[0] if len(leaders) == 1 else UNKNOWN, per_metric, votes)
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,7 @@ def predict(model: MlpModel, x: Sequence[float]) -> float:
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1 or xv.shape[0] != model.input_dim:
         raise DimensionMismatch(f"expected {model.input_dim} inputs, got shape {xv.shape}")
-    if not np.all(np.isfinite(xv)):
-        raise NonFiniteInput("input contains non-finite values")
-    mean, std = model.input_norm
-    y = _forward_norm(model.layers, ((xv - mean) / std)[None, :])[0]
-    mu, sigma = model.output_norm
-    return float(y * sigma + mu)
+    return float(predict_batch(model, xv[None, :])[0])
 
 
 def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -273,12 +268,6 @@ def features_from_traces(
     return [trace_summary(traces[k], reduce) for k in metrics]
 
 
-def features_for(
-    record: SessionRecord, metrics: Sequence[MetricKind], reduce: str = "mean"
-) -> list[float]:
-    return features_from_traces(record.traces, metrics, reduce, f"session {record.session_id}")
-
-
 def _design_matrix(records, purpose, input_metrics, reduce):
     xs, ys = [], []
     for r in records:
@@ -295,7 +284,9 @@ def _design_matrix(records, purpose, input_metrics, reduce):
                 raise InsufficientData(
                     f"session {r.session_id} lacks a {purpose.value} target"
                 )
-            xs.append(features_for(r, input_metrics, reduce))
+            xs.append(
+                features_from_traces(r.traces, input_metrics, reduce, f"session {r.session_id}")
+            )
             ys.append(float(target))
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 

@@ -58,23 +58,12 @@ STANDARD_METRICS: dict[str, MetricKind] = {
     for m in (CPU_UTIL, INSTRUCTIONS, LLC_MISSES, MEM_AVAIL, DISK_READS, NET_RX, NET_TX)
 }
 
-_REGISTRY: dict[str, MetricKind] = dict(STANDARD_METRICS)
-
-
-def register_metric(kind: MetricKind) -> MetricKind:
-    """Register a non-standard metric so corpora mentioning it can load."""
-    existing = _REGISTRY.get(kind.name)
-    if existing is not None and existing != kind:
-        raise ValueError(f"metric {kind.name!r} already registered with a different category")
-    _REGISTRY[kind.name] = kind
-    return kind
-
 
 def metric_by_name(name: str) -> MetricKind:
     try:
-        return _REGISTRY[name]
+        return STANDARD_METRICS[name]
     except KeyError:
-        raise ParseError(f"unknown metric name {name!r}; register it first") from None
+        raise ParseError(f"unknown metric name {name!r}") from None
 
 
 def quantize(value: float) -> float:

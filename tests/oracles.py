@@ -3,10 +3,15 @@
 These deliberately avoid the library's algorithms: the warping oracles
 enumerate every monotone path through the cost grid or fill the whole cost
 matrix and walk it back, and the correlation oracle is a straight-sum
-two-pass loop.  Keep them simple and slow.
+two-pass loop.  The ablation oracle is the plain per-count loop: a fresh
+database and a full identification for every reference count.  Keep them
+simple and slow.
 """
 
 import math
+
+from vmsight.identify import build_fingerprint_db, identify
+from vmsight.tracemodel import metric_by_name
 
 
 def brute_force_dtw_cost(p, q):
@@ -108,3 +113,20 @@ def two_pass_pearson(a, b):
     for x, y in zip(a, b):
         acc += ((x - mu_a) / sd_a) * ((y - mu_b) / sd_b)
     return acc / k
+
+
+def ablation_per_count(corpus, counts, metrics=("cpu_util_pct",)):
+    """Accuracy per count and alignment, held out as run_ablation_dtw does,
+    identifying every held-out session against each count's own database."""
+    kinds = [metric_by_name(n) for n in metrics]
+    labeled = [r for r in corpus if r.app_label is not None]
+    counts = sorted(set(counts))
+    reserved = set(build_fingerprint_db(labeled, kinds, counts[-1]).source_session_ids)
+    held = [r for r in labeled if r.session_id not in reserved]
+    acc = {"dtw": [], "truncate": []}
+    for count in counts:
+        db = build_fingerprint_db(labeled, kinds, count)
+        for align in acc:
+            correct = sum(identify(r.traces, db, align=align).label == r.app_label for r in held)
+            acc[align].append(correct / len(held))
+    return acc

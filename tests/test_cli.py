@@ -395,6 +395,30 @@ class TestConfigFile:
         assert err.startswith("ConfigInvalid: ")
         assert repr(next(iter(config))) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["evaluate", "--experiment", "ablation", "--ref-counts", "a"],
+                         id="ref-counts"),
+            pytest.param(["evaluate", "--experiment", "tradeoff", "--hours", "x"], id="hours"),
+            pytest.param(["train", "--hidden-grid", "4,x"], id="hidden-grid"),
+            pytest.param(["fingerprint", "--threshold-dtw", "cpu_util_pct=abc"],
+                         id="threshold-dtw"),
+            pytest.param(["fingerprint", "--refs-per-app", "0"], id="refs-per-app"),
+            pytest.param(["fingerprint", "--threshold", "0"], id="threshold"),
+            pytest.param(["simulate", "--seed", "-1"], id="seed"),
+        ],
+    )
+    def test_bad_flag_value_is_config_invalid(self, capsys, workspace, tmp_path, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": workspace["corpus"],
+                                        "models": str(tmp_path / "models"),
+                                        "out": str(tmp_path / "out")}))
+        code, _, err = run(capsys, "--config", str(cfg_path), *argv)
+        assert code == 1
+        assert err.startswith(f"ConfigInvalid: {argv[-2]} ")
+        assert "Traceback" not in err
+
 
 HUGE_INT = "1" * 5000  # over Python's 4,300-digit int conversion limit
 

@@ -1,7 +1,9 @@
+import importlib
 import json
 
 import pytest
 
+from oracles import ablation_per_count
 from vmsight.errors import ConfigInvalid, InsufficientData
 from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
 from vmsight.neural import TrainConfig
@@ -37,6 +39,28 @@ class TestAblation:
         a = run_ablation_dtw(id_corpus, [1], min_test_sessions=100)
         b = run_ablation_dtw(id_corpus, [1], min_test_sessions=100)
         assert a.series == b.series
+
+    def test_matches_per_count_identification(self, id_corpus):
+        result = run_ablation_dtw(id_corpus, [1, 3], min_test_sessions=100)
+        want = ablation_per_count(id_corpus, [1, 3])
+        assert result.series["accuracy_dtw"] == want["dtw"]
+        assert result.series["accuracy_truncate"] == want["truncate"]
+
+    def test_each_held_out_session_aligned_once(self, id_corpus, monkeypatch):
+        # one DTW row per held-out session against the largest set serves
+        # every count, so no count aligns against its references again
+        module = importlib.import_module("vmsight.identify")  # the package's identify is a function
+        dtw = module._dtw
+        columns = []
+
+        def counting(query, refs):
+            columns.append(len(refs))
+            return dtw(query, refs)
+
+        monkeypatch.setattr(module, "_dtw", counting)
+        result = run_ablation_dtw(id_corpus, [1, 2], min_test_sessions=100)
+        apps = {r.app_label for r in id_corpus if r.app_label is not None}
+        assert sum(columns) == result.summary["held_out_sessions"] * 2 * len(apps)
 
     def test_dtw_curve_non_decreasing_within_noise(self, id_corpus):
         result = run_ablation_dtw(id_corpus, [1, 2, 3, 4], min_test_sessions=100)

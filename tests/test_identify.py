@@ -1,10 +1,13 @@
+import ast
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vmsight
 from oracles import brute_force_dtw_cost, brute_force_min_warped_sq, traceback_dtw
 from vmsight.errors import (
     InsufficientReferences,
@@ -149,16 +152,34 @@ class TestWarpedDistance:
                 assert got_dist == pytest.approx(want_dist, rel=1e-12)
 
 
+def nearest(query, db, **kw):
+    """(label, distance) of a one-metric session's only per-metric result."""
+    return identify({query.metric: query}, db, **kw).per_metric[query.metric]
+
+
 class TestIdentifySingle:
+    def test_row_is_every_same_metric_distance_in_db_order(self):
+        rng = np.random.default_rng(5)
+        entries = [
+            (label, trace(rng.uniform(0, 100, n), kind=kind))
+            for label, n in (("c", 7), ("a", 9), ("b", 5))
+            for kind in (CPU_UTIL, LLC_MISSES)
+        ]
+        db = toy_db(entries, metrics=(CPU_UTIL, LLC_MISSES))
+        query = rng.uniform(0, 100, 8)
+        refs = [t.samples for _, t in entries if t.metric == CPU_UTIL]
+        row = identify_single(trace(query), db)
+        assert np.array_equal(row, _dtw(query, refs)[1])
+
     def test_byte_identical_trace_wins_with_zero_distance(self):
         ref = trace([10, 50, 10, 50])
         db = toy_db([("a", ref), ("b", trace([90, 90, 90, 90]))])
-        label, dist = identify_single(trace([10, 50, 10, 50]), db)
+        label, dist = nearest(trace([10, 50, 10, 50]), db)
         assert label == "a" and dist == 0.0
 
     def test_rejection_above_threshold(self):
         db = toy_db([("a", trace([0, 0, 0, 0]))], threshold=5.0)
-        label, dist = identify_single(trace([100, 100, 100, 100]), db)
+        label, dist = nearest(trace([100, 100, 100, 100]), db)
         assert label == UNKNOWN and dist > 5.0
 
     def test_period_mismatch(self):
@@ -183,8 +204,13 @@ class TestIdentifySingle:
                     brute_force_min_warped_sq(list(query), list(refs[label]))
                 ),
             )
-            label, _ = identify_single(trace(query), db)
+            label, _ = nearest(trace(query), db)
             assert label == best
+
+    @pytest.mark.parametrize("align", ["dtw", "truncate"])
+    def test_tie_goes_to_first_reference_in_db_order(self, align):
+        db = toy_db([("b", trace([1, 2, 3])), ("a", trace([1, 2, 3])), ("c", trace([3, 2, 1]))])
+        assert nearest(trace([1, 2, 3]), db, align=align) == ("b", 0.0)
 
     def test_per_metric_threshold_override(self):
         db = toy_db(
@@ -192,15 +218,15 @@ class TestIdentifySingle:
             metrics=(LLC_MISSES,),
             metric_thresholds={"llc_misses": 2.0},
         )
-        label, _ = identify_single(trace([3, 3, 3], kind=LLC_MISSES), db)
+        label, _ = nearest(trace([3, 3, 3], kind=LLC_MISSES), db)
         assert label == UNKNOWN
 
     def test_znorm_matching_ignores_amplitude(self):
         shape = [10.0, 50.0, 10.0, 50.0, 10.0]
         db = toy_db([("a", trace(shape)), ("b", trace([30.0, 31.0, 30.0, 29.0, 30.0]))])
         scaled = trace([v * 10.0 for v in shape])
-        raw_label, raw_dist = identify_single(scaled, db)
-        z_label, z_dist = identify_single(scaled, db, znorm=True)
+        raw_label, raw_dist = nearest(scaled, db)
+        z_label, z_dist = nearest(scaled, db, znorm=True)
         assert z_label == "a" and z_dist == pytest.approx(0.0, abs=1e-9)
         assert raw_dist > z_dist
 
@@ -344,3 +370,25 @@ class TestBuildDb:
     def test_reserved_label_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             toy_db([(UNKNOWN, trace([1, 2, 3]))])
+
+
+def test_only_identify_single_calls_dtw():
+    """Every DTW in the package runs through identify_single, the one place
+    a faster kernel has to be swapped in."""
+    users = []
+    for path in sorted(Path(vmsight.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "_dtw")
+                or (isinstance(node, ast.Attribute) and node.attr == "_dtw")
+                or (isinstance(node, ast.alias) and node.name == "_dtw")
+            )
+            if not named:
+                continue
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parent.get(scope)
+            users.append(f"{path.stem}.{scope.name if scope else '<module>'}")
+    assert users == ["identify.identify_single"]
