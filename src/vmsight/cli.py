@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -114,15 +115,15 @@ def _emit(args, config, payload: dict, csv_text: Optional[str] = None) -> None:
 
 
 def _number(value, flag: str, kind=int, above=None):
-    """``kind(value)``, or ConfigInvalid naming ``flag`` if that fails or
-    is not above ``above``."""
+    """``kind(value)``, or ConfigInvalid naming ``flag`` if that fails, is
+    not finite or is not above ``above``."""
     try:
         number = kind(value)
-        if above is None or number > above:
+        if (kind is int or math.isfinite(number)) and (above is None or number > above):
             return number
     except ValueError:
         pass
-    noun = "an integer" if kind is int else "a number"
+    noun = "an integer" if kind is int else "a finite number"
     bound = "" if above is None else f" above {above}"
     raise ConfigInvalid(f"{flag} takes {noun}{bound}, got {value!r}")
 
@@ -176,7 +177,8 @@ def _load_profiles(args, config):
 
 def _cmd_simulate(args, config) -> int:
     seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
-    templates = simgen.default_templates(amplitude_gain=args.amp_gain)
+    gain = _number(args.amp_gain, "--amp-gain", float, above=0.0)
+    templates = simgen.default_templates(amplitude_gain=gain)
     cfg = simgen.ScenarioConfig(
         n_vms=args.n_vms,
         session_duration_s=args.duration_s,
@@ -191,7 +193,7 @@ def _cmd_simulate(args, config) -> int:
     if args.outsider:
         import numpy as np
 
-        outsider = simgen.outsider_template(amplitude_gain=args.amp_gain)
+        outsider = simgen.outsider_template(amplitude_gain=gain)
         rng = np.random.default_rng(seed + 2)
         records = records + [
             simgen.render_session(
@@ -383,7 +385,8 @@ def _cmd_evaluate(args, config) -> int:
         records = _load_sessions(args, config)
         store = degrade.ModelStore.load(_required(args, config, "models"))
         profiles = _load_profiles(args, config)
-        templates = simgen.default_templates(amplitude_gain=args.amp_gain)
+        gain = _number(args.amp_gain, "--amp-gain", float, above=0.0)
+        templates = simgen.default_templates(amplitude_gain=gain)
         truth = {
             r.session_id: simgen.ground_truth_degradation(r, templates)
             for r in records

@@ -155,8 +155,8 @@ def run_sampling_tradeoff(
         raise ConfigInvalid("hours_grid must be non-empty")
     if len(grid) != len(list(hours_grid)):
         warnings.warn("duplicate grid points dropped", stacklevel=2)
-    if any(h <= 0 for h in grid):
-        raise ConfigInvalid("hours must be positive")
+    if not all(0 < h < np.inf for h in grid):
+        raise ConfigInvalid("hours must be positive and finite")
     errors = {"train": [], "val": [], "test": []}
     sessions_per_point = []
     for i, hours in enumerate(grid):

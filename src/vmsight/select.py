@@ -33,7 +33,8 @@ def trace_summary(trace: MetricTrace, reduce: str = "mean") -> float:
     """Collapse a trace to the per-session scalar used for correlation."""
     samples = trace.samples
     if reduce == "mean":
-        return float(np.mean(samples))
+        # np.mean's own pairwise sum and single division, without its dispatch
+        return float(np.add.reduce(samples) / samples.shape[0])
     if reduce == "max":
         return float(np.max(samples))
     if reduce == "p95":

@@ -433,19 +433,19 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_vms < 1:
             raise ConfigInvalid("n_vms must be >= 1")
-        if self.session_duration_s < 4 * self.period_s:
-            raise ConfigInvalid("session too short for the sampling period")
-        if self.period_s <= 0 or self.idle_duration_s < 0:
+        if not (0 < self.period_s < math.inf and 0 <= self.idle_duration_s < math.inf):
             raise ConfigInvalid("period_s must be positive, idle_duration_s non-negative")
-        if self.noise_std < 0 or self.perf_noise_std < 0:
-            raise ConfigInvalid("noise levels must be non-negative")
+        if not (4 * self.period_s <= self.session_duration_s < math.inf):
+            raise ConfigInvalid("session_duration_s must be finite and >= 4 sampling periods")
+        if not (0 <= self.noise_std < math.inf and 0 <= self.perf_noise_std < math.inf):
+            raise ConfigInvalid("noise levels must be finite and non-negative")
         lo, hi = self.time_stretch_range
         if not (0 < lo <= hi):
             raise ConfigInvalid("time_stretch_range must satisfy 0 < lo <= hi")
         if not (0 <= self.phase_jitter <= 1):
             raise ConfigInvalid("phase_jitter must lie in [0, 1]")
-        if any(v < 0 for v in self.coupling.values()):
-            raise ConfigInvalid("coupling coefficients must be non-negative")
+        if not all(0 <= v < math.inf for v in self.coupling.values()):
+            raise ConfigInvalid("coupling coefficients must be finite and non-negative")
         object.__setattr__(self, "coupling", dict(self.coupling))
 
     def mode_table(self, templates: Mapping[str, AppTemplate]) -> dict[int, str]:

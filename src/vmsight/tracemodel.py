@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import json
 import math
 import os
@@ -361,17 +362,37 @@ def _labels_to_obj(record: SessionRecord) -> dict:
     return {"app_label": record.app_label, **{k: _opt_quant(getattr(record, k)) for k in _LEVELS}}
 
 
-def _record_to_obj(record: SessionRecord) -> dict:
-    # Missing optional fields serialize as explicit nulls, never omitted keys.
-    return {
-        "session_id": record.session_id,
-        "period_s": quantize(record.period_s),
-        **_labels_to_obj(record),
-        "traces": {
-            kind.name: quantize_array(trace.samples).tolist()
-            for kind, trace in sorted(record.traces.items(), key=lambda kv: kv[0].name)
-        },
-    }
+def _samples_text(q: np.ndarray, whole: np.ndarray) -> str:
+    """``json.dumps(q.tolist())`` for quantized samples without json's repr
+    search: "%.9g" prints repr's digits, as each q is the double nearest a
+    decimal of <= SIG_DIGITS digits, but repr writes ``whole`` values
+    (integral, below 1e16) as "<n>.0", and a subnormal may have fewer digits."""
+    if ((q != 0) & (np.abs(q) < np.finfo(float).tiny)).any():
+        return json.dumps(q.tolist())
+    spec = np.where(whole, "%.1f", "%.9g").tolist() if whole.any() else ["%.9g"] * len(q)
+    return "[" + ", ".join(spec) % tuple(q.tolist()) + "]"
+
+
+def _json_object(items: dict[str, str]) -> str:
+    """The layout json.dumps(..., sort_keys=True) gives already-encoded values."""
+    return "{" + ", ".join(f'"{k}": {items[k]}' for k in sorted(items)) + "}"
+
+
+def _record_line(record: SessionRecord) -> str:
+    """``json.dumps(obj, sort_keys=True)`` of the record's JSONL object: floats
+    quantized to SIG_DIGITS (samples once per record), missing labels null."""
+    kinds = sorted(record.traces, key=lambda k: k.name)
+    q = quantize_array(np.concatenate([record.traces[k].samples for k in kinds]))
+    whole = (q == np.trunc(q)) & (np.abs(q) < 1e16)
+    ends = list(itertools.accumulate(len(record.traces[k]) for k in kinds))
+    traces = {k.name: _samples_text(q[a:b], whole[a:b]) for k, a, b in zip(kinds, [0, *ends], ends)}
+    fields = {"session_id": record.session_id, "period_s": quantize(record.period_s),
+              **_labels_to_obj(record)}
+    try:
+        items = {k: json.dumps(v, allow_nan=False) for k, v in fields.items()}
+    except ValueError as exc:
+        raise IoError(f"session {record.session_id}: cannot write a non-finite number") from exc
+    return _json_object({**items, "traces": _json_object(traces)})
 
 
 def _num(value, where: str, allow_none: bool = False) -> Optional[float]:
@@ -463,7 +484,7 @@ def _load_jsonl_file(path: str) -> list[SessionRecord]:
 def _save_jsonl(records: Sequence[SessionRecord], path: str) -> None:
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(json.dumps(_record_to_obj(record), sort_keys=True))
+            fh.write(_record_line(record))
             fh.write("\n")
 
 

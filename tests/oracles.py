@@ -4,14 +4,16 @@ These deliberately avoid the library's algorithms: the warping oracles
 enumerate every monotone path through the cost grid or fill the whole cost
 matrix and walk it back, and the correlation oracle is a straight-sum
 two-pass loop.  The ablation oracle is the plain per-count loop: a fresh
-database and a full identification for every reference count.  Keep them
-simple and slow.
+database and a full identification for every reference count.  The JSONL
+oracle builds the record's whole object and hands it to json.dumps, with
+each float rounded by the scalar quantize.  Keep them simple and slow.
 """
 
+import json
 import math
 
 from vmsight.identify import build_fingerprint_db, identify
-from vmsight.tracemodel import metric_by_name
+from vmsight.tracemodel import metric_by_name, quantize
 
 
 def brute_force_dtw_cost(p, q):
@@ -130,3 +132,20 @@ def ablation_per_count(corpus, counts, metrics=("cpu_util_pct",)):
             correct = sum(identify(r.traces, db, align=align).label == r.app_label for r in held)
             acc[align].append(correct / len(held))
     return acc
+
+
+def jsonl_line(record):
+    """The JSONL line for ``record``: one dict, key-sorted by json.dumps.
+    Missing optional fields serialize as explicit nulls, never omitted keys."""
+    levels = ("workload_level", "performance", "interference_level")
+    obj = {
+        "session_id": record.session_id,
+        "period_s": quantize(record.period_s),
+        "app_label": record.app_label,
+        **{k: None if getattr(record, k) is None else quantize(getattr(record, k)) for k in levels},
+        "traces": {
+            kind.name: [quantize(v) for v in trace.samples]
+            for kind, trace in sorted(record.traces.items(), key=lambda kv: kv[0].name)
+        },
+    }
+    return json.dumps(obj, sort_keys=True)

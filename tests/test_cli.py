@@ -419,6 +419,29 @@ class TestConfigFile:
         assert err.startswith(f"ConfigInvalid: {argv[-2]} ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["evaluate", "--experiment", "tradeoff", "--hours", "nan"],
+                         id="hours-nan"),
+            pytest.param(["evaluate", "--experiment", "tradeoff", "--hours", "inf"],
+                         id="hours-inf"),
+            pytest.param(["simulate", "--duration-s", "nan"], id="duration-s-nan"),
+            pytest.param(["simulate", "--duration-s", "inf"], id="duration-s-inf"),
+            pytest.param(["simulate", "--amp-gain", "nan"], id="amp-gain-nan"),
+            pytest.param(["simulate", "--amp-gain", "-1"], id="amp-gain-negative"),
+            pytest.param(["simulate", "--noise", "nan"], id="noise-nan"),
+            pytest.param(["simulate", "--perf-noise", "inf"], id="perf-noise-inf"),
+        ],
+    )
+    def test_non_finite_flag_value_is_config_invalid(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.jsonl"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert err.startswith("ConfigInvalid: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 HUGE_INT = "1" * 5000  # over Python's 4,300-digit int conversion limit
 

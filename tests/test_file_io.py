@@ -155,16 +155,16 @@ def _profiles(baseline):
 
 
 def _save_corpus_failing_mid_write(path, monkeypatch):
-    to_obj = tracemodel._record_to_obj
+    record_line = tracemodel._record_line
     calls = []
 
     def failing(record):
         calls.append(record)
         if len(calls) == 2:
             raise RuntimeError("serialization failed")
-        return to_obj(record)
+        return record_line(record)
 
-    monkeypatch.setattr(tracemodel, "_record_to_obj", failing)
+    monkeypatch.setattr(tracemodel, "_record_line", failing)
     save_corpus(_records(2), path)
 
 

@@ -156,3 +156,16 @@ class TestTraceSummary:
         assert trace_summary(t, "p95") == pytest.approx(np.percentile(t.samples, 95))
         with pytest.raises(ValueError):
             trace_summary(t, "median")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=300),
+        # long enough for numpy's blocked pairwise summation to nest
+        st.tuples(st.integers(2, 10_000), st.integers(0, 2**32 - 1)).map(
+            lambda a: np.random.default_rng(a[1]).normal(50.0, 20.0, a[0])
+        ),
+    ))
+    def test_mean_matches_np_mean_bit_for_bit(self, values):
+        t = MetricTrace(CPU_UTIL, values)
+        got = np.array([trace_summary(t, "mean"), np.mean(t.samples)])
+        assert got.view(np.int64)[0] == got.view(np.int64)[1]

@@ -1,16 +1,22 @@
 import hashlib
 import json
+import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import jsonl_line
 from vmsight import tracemodel
-from vmsight.errors import EmptyCorpus, ParseError
+from vmsight.errors import EmptyCorpus, IoError, ParseError
 from vmsight.simgen import ScenarioConfig, default_templates, generate, generate_isolated
 from vmsight.tracemodel import (
     CPU_UTIL,
     NET_RX,
+    STANDARD_METRICS,
     Category,
     MetricKind,
     MetricTrace,
@@ -269,6 +275,96 @@ class TestQuantizeArray:
         assert hashlib.sha256(data).hexdigest() == (
             "a0d61aca7b8c0d1a6ced0344da9ea279b13db4c24ca695e7350494286a226841"
         )
+
+
+# Samples whose JSON layout the writer must get right: subnormals, signed
+# zeros, integral values, and the edges of repr's fixed notation (1e-4 and
+# 1e16) and of "%.9g"'s (1e9).
+WRITER_EDGES = [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, 1.0, -7.0,
+                1e-4, 9.99999999e-5, 1.00000001e-4, 1e-5, 99999.9999, 1e9, 999999999.0,
+                1.00000001e9, 1.5e9, 123456789.5, 9.99999999e15, 1e16, -1e16, 1.23456789e16,
+                1e17, 1.797e308, 1.7976931348623157e308]
+writer_samples = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(WRITER_EDGES),
+    st.integers(-(10**12), 10**12).map(float),
+)
+writer_text = st.one_of(
+    st.text(), st.sampled_from(['say "hi"', "back\\slash", "naïve 漢字 \u2028", "tab\tnl\n"])
+)
+optional_floats = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def writer_records(draw, session_id):
+    names = draw(st.lists(st.sampled_from(sorted(STANDARD_METRICS)), min_size=1, max_size=4,
+                          unique=True))
+    period = draw(st.floats(1e-3, 1e6))
+    traces = {
+        STANDARD_METRICS[n]: MetricTrace(
+            STANDARD_METRICS[n], draw(st.lists(writer_samples, min_size=2, max_size=30)), period
+        )
+        for n in names
+    }
+    return SessionRecord(
+        session_id=session_id,
+        traces=traces,
+        app_label=draw(st.none() | writer_text),
+        workload_level=draw(optional_floats),
+        performance=draw(optional_floats),
+        interference_level=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
+class TestJsonlWriter:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(writer_text.filter(bool), min_size=1, max_size=4, unique=True).flatmap(
+            lambda ids: st.tuples(*map(writer_records, ids))
+        )
+    )
+    def test_lines_equal_json_dumps_oracle(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl")
+            save_corpus(records, path)
+            with open(path, "rb") as fh:
+                lines = fh.read().decode("utf-8").split("\n")
+            loaded = load_corpus(path)
+        ordered = sorted(records, key=lambda r: r.session_id)
+        assert lines == [jsonl_line(r) for r in ordered] + [""]
+        assert loaded == ordered
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("performance", math.inf), ("workload_level", math.nan), ("period", math.inf)],
+    )
+    def test_non_finite_number_is_io_error_and_keeps_file(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_record("a")], str(path))
+        before = path.read_bytes()
+        if field == "period":
+            bad = make_record("b", period=value)
+        else:
+            bad = SessionRecord(**{**vars(make_record("b")), field: value})
+        with pytest.raises(IoError, match="session b: cannot write a non-finite number"):
+            save_corpus([make_record("a"), bad], str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+    def test_peak_memory_is_one_record_not_the_corpus(self, tmp_path):
+        # 200 sessions x 7 metrics x 300 samples.  Rounding the whole corpus
+        # in one quantize_array call holds several 420,000-sample temporaries
+        # (tens of MB); one record at a time needs about 0.2 MB.
+        records = generate(
+            ScenarioConfig(session_duration_s=300.0, rng_seed=3), default_templates(), 200
+        )
+        tracemalloc.start()
+        try:
+            save_corpus(records, str(tmp_path / "c.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestCsv:
