@@ -69,7 +69,6 @@ from .tracemodel import (
     MetricTrace,
     SessionRecord,
     load_corpus,
-    records_equal,
     save_corpus,
 )
 

@@ -91,14 +91,14 @@ def _check_config(cfg) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, fallback=None):
+def _resolve(args: argparse.Namespace, config: dict, key: str):
     """Precedence: explicit flag > config file > built-in default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
         return config[key]
-    return _DEFAULTS.get(key, fallback)
+    return _DEFAULTS.get(key)
 
 
 def _emit(args, config, payload: dict, csv_text: Optional[str] = None) -> None:
@@ -130,6 +130,17 @@ def _number(value, flag: str, kind=int, above=None):
 
 def _numbers(text: str, flag: str, kind=int, sep: str = ",") -> list:
     return [_number(item, flag, kind) for item in text.split(sep)]
+
+
+def _corr_threshold(args, config) -> float:
+    value = _number(_resolve(args, config, "threshold_corr"), "--threshold-corr", float)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigInvalid(f"--threshold-corr takes a number in [0, 1], got {value!r}")
+    return value
+
+
+def _jobs(args, config) -> int:
+    return _number(_resolve(args, config, "jobs"), "--jobs", above=0)
 
 
 def _parse_threshold_dtw(pairs, config) -> dict[str, float]:
@@ -178,6 +189,7 @@ def _load_profiles(args, config):
 def _cmd_simulate(args, config) -> int:
     seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
     gain = _number(args.amp_gain, "--amp-gain", float, above=0.0)
+    outsiders = _number(args.outsider, "--outsider", above=-1)
     templates = simgen.default_templates(amplitude_gain=gain)
     cfg = simgen.ScenarioConfig(
         n_vms=args.n_vms,
@@ -190,7 +202,7 @@ def _cmd_simulate(args, config) -> int:
     records = simgen.generate(cfg, templates, args.sessions)
     if args.isolated:
         records = records + simgen.generate_isolated(cfg, templates, args.isolated)
-    if args.outsider:
+    if outsiders:
         import numpy as np
 
         outsider = simgen.outsider_template(amplitude_gain=gain)
@@ -199,7 +211,7 @@ def _cmd_simulate(args, config) -> int:
             simgen.render_session(
                 outsider, cfg, f"out{i:06d}", None, float(rng.uniform(0.0, 0.9)), rng
             )
-            for i in range(args.outsider)
+            for i in range(outsiders)
         ]
     out = _required(args, config, "out")
     tracemodel.save_corpus(records, out, format=_resolve(args, config, "format"))
@@ -237,16 +249,14 @@ def _identify_one(record, db, align, znorm, min_trace_len):
 
 
 def _cmd_identify(args, config) -> int:
+    jobs = _jobs(args, config)
+    min_trace_len = _number(_resolve(args, config, "min_trace_len"), "--min-trace-len", above=-1)
     records = _load_sessions(args, config)
     db = load_fingerprint_db(_required(args, config, "db"))
     one = partial(
-        _identify_one,
-        db=db,
-        align=args.align,
-        znorm=args.znorm,
-        min_trace_len=int(_resolve(args, config, "min_trace_len")),
+        _identify_one, db=db, align=args.align, znorm=args.znorm, min_trace_len=min_trace_len
     )
-    rows = _parallel_map(one, records, int(_resolve(args, config, "jobs")))
+    rows = _parallel_map(one, records, jobs)
     payload = {"results": rows}
     _emit(args, config, payload)
     if not _resolve(args, config, "json"):
@@ -256,15 +266,10 @@ def _cmd_identify(args, config) -> int:
 
 
 def _cmd_select_metrics(args, config) -> int:
+    threshold = _corr_threshold(args, config)
     records = _load_sessions(args, config)
     target = select.Target(args.target)
-    report = select.rank_metrics(
-        records,
-        args.app,
-        target,
-        threshold=float(_resolve(args, config, "threshold_corr")),
-        reduce=args.reduce,
-    )
+    report = select.rank_metrics(records, args.app, target, threshold=threshold, reduce=args.reduce)
     _emit(args, config, report.to_obj())
     if not _resolve(args, config, "json"):
         print(select.render_report(report))
@@ -272,6 +277,7 @@ def _cmd_select_metrics(args, config) -> int:
 
 
 def _cmd_train(args, config) -> int:
+    corr_threshold = _corr_threshold(args, config)
     records = _load_sessions(args, config)
     profiles = _load_profiles(args, config)
     if args.apps:
@@ -291,7 +297,7 @@ def _cmd_train(args, config) -> int:
     store = degrade.fit_models_for_corpus(
         records,
         profiles,
-        corr_threshold=float(_resolve(args, config, "threshold_corr")),
+        corr_threshold=corr_threshold,
         cfg=cfg,
         hidden_grid=grid,
     )
@@ -319,12 +325,13 @@ def _predict_one(record, db, profiles, store):
 
 
 def _cmd_predict(args, config) -> int:
+    jobs = _jobs(args, config)
     records = _load_sessions(args, config)
     db_path, models_dir = _required(args, config, "db"), _required(args, config, "models")
     db = load_fingerprint_db(db_path)
     store = degrade.ModelStore.load(models_dir)
     one = partial(_predict_one, db=db, profiles=_load_profiles(args, config), store=store)
-    outcomes = _parallel_map(one, records, int(_resolve(args, config, "jobs")))
+    outcomes = _parallel_map(one, records, jobs)
     rows = []
     reports = []
     failures = []
@@ -421,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (overrides the env var)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
-        if corpus:
-            p.add_argument("--corpus", help="corpus file or directory")
-            p.add_argument("--format", choices=["jsonl", "csv"], default=None)
+    def common(p):
+        p.add_argument("--corpus", help="corpus file or directory")
+        p.add_argument("--format", choices=["jsonl", "csv"], default=None)
         p.add_argument("--out", help="write JSON output to this path")
         p.add_argument("--json", action="store_const", const=True, default=None,
                        help="print machine-readable JSON on stdout")

@@ -10,7 +10,6 @@ deterministic outputs can exclude them.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -54,9 +53,6 @@ class ExperimentResult:
         if include_volatile:
             obj["timestamp"] = self.timestamp
         return obj
-
-    def to_json(self, include_volatile: bool = False) -> str:
-        return json.dumps(self.to_obj(include_volatile), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         keys = sorted(k for k in self.series if k not in self.volatile_keys)

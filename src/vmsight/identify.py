@@ -12,7 +12,6 @@ rejects sessions that resemble no known application.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,10 +19,8 @@ import numpy as np
 
 from .errors import (
     InsufficientReferences,
-    IoError,
     NoReferenceForMetric,
     NoUsableMetrics,
-    ParseError,
     PeriodMismatch,
     TooShort,
 )
@@ -31,12 +28,11 @@ from .tracemodel import (
     MetricKind,
     MetricTrace,
     SessionRecord,
+    _samples,
     fmt,
     metric_by_name,
     read_json,
-    read_trace_csv,
     write_json,
-    write_trace_csv,
 )
 
 UNKNOWN = "unknown"
@@ -325,30 +321,23 @@ def _decide(rows: Mapping[MetricKind, np.ndarray], db: FingerprintDb) -> Identif
 
 
 # ---------------------------------------------------------------------------
-# On-disk layout: <dir>/db.json plus one CSV trace file per entry
+# On-disk layout: one <dir>/db.json holding the thresholds and every entry
 # ---------------------------------------------------------------------------
 
 
-_ENTRY_FILE = re.compile(r"entry\d{4}\.csv")
-
-
 def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
-    """Write one CSV per entry, then db.json, then remove entry files of an
-    earlier, larger database in the same directory.  Each file is replaced
-    atomically and db.json comes last, so a failed save leaves the old
-    db.json in place."""
-    entries = []
-    for i, entry in enumerate(db.entries):
-        fname = f"entry{i:04d}.csv"
-        write_trace_csv(os.path.join(path, fname), [entry.trace], entry.trace.period_s)
-        entries.append(
-            {
-                "app_label": entry.app_label,
-                "metric": entry.metric.name,
-                "file": fname,
-                "period_s": entry.trace.period_s,
-            }
-        )
+    """Write the whole database to <path>/db.json in one atomic replace, so
+    a failed save leaves the previous database in place.  Samples are
+    written with json's repr and load back bit for bit."""
+    entries = [
+        {
+            "app_label": entry.app_label,
+            "metric": entry.metric.name,
+            "period_s": entry.trace.period_s,
+            "samples": entry.trace.samples.tolist(),
+        }
+        for entry in db.entries
+    ]
     index = {
         "distance_threshold": db.distance_threshold,
         "metric_thresholds": dict(sorted(db.metric_thresholds.items())),
@@ -357,13 +346,6 @@ def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
         "entries": entries,
     }
     write_json(os.path.join(path, "db.json"), index)
-    kept = {item["file"] for item in entries}
-    try:
-        for name in os.listdir(path):
-            if _ENTRY_FILE.fullmatch(name) and name not in kept:
-                os.remove(os.path.join(path, name))
-    except OSError as exc:
-        raise IoError(f"{path}: cannot remove stale entries ({exc.strerror or exc})") from exc
 
 
 def load_fingerprint_db(path: str) -> FingerprintDb:
@@ -373,12 +355,12 @@ def load_fingerprint_db(path: str) -> FingerprintDb:
     JSON, a missing key, a value of the wrong type, a non-numeric or
     non-finite sample, an invalid threshold) raises ParseError.
     """
-    return read_json(os.path.join(path, "db.json"), lambda index: _db_from_index(path, index))
+    return read_json(os.path.join(path, "db.json"), _db_from_index)
 
 
-def _db_from_index(path: str, index: Mapping) -> FingerprintDb:
+def _db_from_index(index: Mapping) -> FingerprintDb:
     return FingerprintDb(
-        entries=tuple(_load_entry(path, item) for item in index["entries"]),
+        entries=tuple(_entry(i, item) for i, item in enumerate(index["entries"])),
         metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
         distance_threshold=float(index["distance_threshold"]),
         metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
@@ -386,10 +368,8 @@ def _db_from_index(path: str, index: Mapping) -> FingerprintDb:
     )
 
 
-def _load_entry(path: str, item: Mapping) -> FingerprintEntry:
+def _entry(i: int, item: Mapping) -> FingerprintEntry:
     kind = metric_by_name(item["metric"])
-    kinds, rows = read_trace_csv(os.path.join(path, item["file"]))
-    if kinds != [kind]:
-        raise ParseError(f"{item['file']}: header must be t,{kind.name}")
-    trace = MetricTrace(kind, rows[:, 1], period_s=float(item["period_s"]))
+    samples = _samples(item["samples"], f"db.json: entry {i}")
+    trace = MetricTrace(kind, samples, period_s=float(item["period_s"]))
     return FingerprintEntry(item["app_label"], kind, trace)

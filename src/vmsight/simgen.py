@@ -35,6 +35,10 @@ from .tracemodel import (
 
 IDLE_MODE = 0
 
+# the longest trace a session may ask for: session_duration_s at the
+# slowest time stretch, in sampling periods
+MAX_TRACE_SAMPLES = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Waveform primitives
@@ -442,6 +446,10 @@ class ScenarioConfig:
         lo, hi = self.time_stretch_range
         if not (0 < lo <= hi):
             raise ConfigInvalid("time_stretch_range must satisfy 0 < lo <= hi")
+        if self.session_duration_s * hi / self.period_s > MAX_TRACE_SAMPLES:
+            raise ConfigInvalid(
+                f"session_duration_s * {hi:g} / period_s exceeds {MAX_TRACE_SAMPLES} samples"
+            )
         if not (0 <= self.phase_jitter <= 1):
             raise ConfigInvalid("phase_jitter must lie in [0, 1]")
         if not all(0 <= v < math.inf for v in self.coupling.values()):

@@ -196,9 +196,17 @@ class SessionRecord:
         return sorted(k.name for k in self.traces)
 
     def __eq__(self, other) -> bool:
+        """Field-by-field equality, floats compared at SIG_DIGITS precision."""
         if not isinstance(other, SessionRecord):
             return NotImplemented
-        return records_equal(self, other)
+        if self.session_id != other.session_id or self.app_label != other.app_label:
+            return False
+        for attr in ("workload_level", "performance", "interference_level"):
+            if _opt_fmt(getattr(self, attr)) != _opt_fmt(getattr(other, attr)):
+                return False
+        return set(self.traces) == set(other.traces) and all(
+            self.traces[k] == other.traces[k] for k in self.traces
+        )
 
 
 def _opt_fmt(v: Optional[float]) -> Optional[str]:
@@ -207,16 +215,6 @@ def _opt_fmt(v: Optional[float]) -> Optional[str]:
 
 def _opt_quant(v: Optional[float]) -> Optional[float]:
     return None if v is None else quantize(v)
-
-
-def records_equal(a: SessionRecord, b: SessionRecord) -> bool:
-    """Field-by-field equality, floats compared at SIG_DIGITS precision."""
-    if a.session_id != b.session_id or a.app_label != b.app_label:
-        return False
-    for attr in ("workload_level", "performance", "interference_level"):
-        if _opt_fmt(getattr(a, attr)) != _opt_fmt(getattr(b, attr)):
-            return False
-    return set(a.traces) == set(b.traces) and all(a.traces[k] == b.traces[k] for k in a.traces)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +360,14 @@ def _labels_to_obj(record: SessionRecord) -> dict:
     return {"app_label": record.app_label, **{k: _opt_quant(getattr(record, k)) for k in _LEVELS}}
 
 
+def _check_writable(record: SessionRecord) -> None:
+    """IoError unless the record's period and labels are finite, as both
+    loaders require."""
+    numbers = (record.period_s, *(getattr(record, k) for k in _LEVELS))
+    if not all(math.isfinite(v) for v in numbers if v is not None):
+        raise IoError(f"session {record.session_id}: cannot write a non-finite number")
+
+
 def _samples_text(q: np.ndarray, whole: np.ndarray) -> str:
     """``json.dumps(q.tolist())`` for quantized samples without json's repr
     search: "%.9g" prints repr's digits, as each q is the double nearest a
@@ -381,6 +387,7 @@ def _json_object(items: dict[str, str]) -> str:
 def _record_line(record: SessionRecord) -> str:
     """``json.dumps(obj, sort_keys=True)`` of the record's JSONL object: floats
     quantized to SIG_DIGITS (samples once per record), missing labels null."""
+    _check_writable(record)
     kinds = sorted(record.traces, key=lambda k: k.name)
     q = quantize_array(np.concatenate([record.traces[k].samples for k in kinds]))
     whole = (q == np.trunc(q)) & (np.abs(q) < 1e16)
@@ -388,10 +395,7 @@ def _record_line(record: SessionRecord) -> str:
     traces = {k.name: _samples_text(q[a:b], whole[a:b]) for k, a, b in zip(kinds, [0, *ends], ends)}
     fields = {"session_id": record.session_id, "period_s": quantize(record.period_s),
               **_labels_to_obj(record)}
-    try:
-        items = {k: json.dumps(v, allow_nan=False) for k, v in fields.items()}
-    except ValueError as exc:
-        raise IoError(f"session {record.session_id}: cannot write a non-finite number") from exc
+    items = {k: json.dumps(v) for k, v in fields.items()}
     return _json_object({**items, "traces": _json_object(traces)})
 
 
@@ -494,14 +498,18 @@ def _save_jsonl(records: Sequence[SessionRecord], path: str) -> None:
 
 
 def _save_csv(records: Sequence[SessionRecord], path: str) -> None:
+    """Check every record before the first file is written, then write two
+    files per record."""
     for record in records:
-        traces = [record.trace(n) for n in record.metric_names()]
-        if len({len(t) for t in traces}) != 1:
+        if len({len(t) for t in record.traces.values()}) != 1:
             raise IoError(
                 f"session {record.session_id}: CSV format requires equal-length traces"
             )
+        _check_writable(record)
+    for record in records:
         base = os.path.join(path, record.session_id)
-        write_trace_csv(base + ".csv", traces, record.period_s)
+        write_trace_csv(base + ".csv", [record.trace(n) for n in record.metric_names()],
+                        record.period_s)
         write_json(base + ".meta.json", _labels_to_obj(record))
 
 

@@ -12,16 +12,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _set_sample(value):
-    def corrupt(db):
-        path = db / "entry0001.csv"
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2].split(",")[0] + "," + value
-        path.write_text("\n".join(lines) + "\n")
-
-    return corrupt
-
-
 def _edit_index(edit):
     def corrupt(db):
         index = json.loads((db / "db.json").read_text())
@@ -29,6 +19,13 @@ def _edit_index(edit):
         (db / "db.json").write_text(json.dumps(index))
 
     return corrupt
+
+
+def _set_sample(value):
+    def edit(index):
+        index["entries"][1]["samples"][1] = value
+
+    return _edit_index(edit)
 
 
 def _edit_model(edit):
@@ -185,7 +182,7 @@ class TestIdentify:
         "corrupt, error",
         [
             pytest.param(_set_sample("abc"), "ParseError", id="non-numeric-sample"),
-            pytest.param(_set_sample("nan"), "ParseError", id="non-finite-sample"),
+            pytest.param(_set_sample(float("nan")), "ParseError", id="non-finite-sample"),
             pytest.param(
                 _edit_index(lambda index: index.pop("metrics_used")), "ParseError", id="missing-key"
             ),
@@ -195,8 +192,11 @@ class TestIdentify:
                 id="thresholds-not-a-map",
             ),
             pytest.param(
-                lambda db: (db / "entry0001.csv").unlink(), "IoError", id="missing-entry-file"
+                _edit_index(lambda index: index["entries"][1].pop("samples")),
+                "ParseError",
+                id="entry-without-samples",
             ),
+            pytest.param(lambda db: (db / "db.json").unlink(), "IoError", id="missing-db-json"),
         ],
     )
     def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):
@@ -407,6 +407,13 @@ class TestConfigFile:
             pytest.param(["fingerprint", "--refs-per-app", "0"], id="refs-per-app"),
             pytest.param(["fingerprint", "--threshold", "0"], id="threshold"),
             pytest.param(["simulate", "--seed", "-1"], id="seed"),
+            pytest.param(["simulate", "--sessions", "1", "--outsider", "-1"], id="outsider"),
+            pytest.param(["identify", "--jobs", "0"], id="jobs-zero"),
+            pytest.param(["predict", "--jobs", "-3"], id="jobs-negative"),
+            pytest.param(["identify", "--min-trace-len", "-5"], id="min-trace-len"),
+            pytest.param(["select-metrics", "--app", "web_serving", "--threshold-corr", "nan"],
+                         id="threshold-corr-nan"),
+            pytest.param(["train", "--threshold-corr", "5"], id="threshold-corr-above-one"),
         ],
     )
     def test_bad_flag_value_is_config_invalid(self, capsys, workspace, tmp_path, argv):

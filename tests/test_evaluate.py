@@ -1,5 +1,4 @@
 import importlib
-import json
 
 import pytest
 
@@ -115,9 +114,9 @@ class TestTiming:
         self, trained_store, profiles, small_corpus
     ):
         result = run_timing(trained_store, profiles, small_corpus[0], n_queries=50)
-        obj = json.loads(result.to_json())
+        obj = result.to_obj()
         assert "median_degradation_us" not in obj["summary"]
         assert "timestamp" not in obj
         assert "bound_met" in obj["summary"]
-        full = json.loads(result.to_json(include_volatile=True))
+        full = result.to_obj(include_volatile=True)
         assert "median_degradation_us" in full["summary"]

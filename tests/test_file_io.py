@@ -6,6 +6,7 @@ escape.  The write tests check that a failed write leaves the previous file.
 """
 
 import ast
+import itertools
 import json
 import shutil
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import vmsight
 from vmsight import cli, tracemodel
 from vmsight.degrade import AppProfile, Orientation, load_profiles, save_profiles
-from vmsight.errors import VmsightError
+from vmsight.errors import IoError, VmsightError
 from vmsight.identify import build_fingerprint_db, load_fingerprint_db, save_fingerprint_db
 from vmsight.neural import load_model
 from vmsight.simgen import ScenarioConfig, default_templates, generate_isolated
@@ -87,7 +88,6 @@ def artifacts(tmp_path_factory, trained_store, profiles):
 # artifact type -> (directory, file to corrupt, loader of the directory)
 ARTIFACTS = {
     "db.json": ("db", "db.json", load_fingerprint_db),
-    "entry-csv": ("db", "entry0002.csv", load_fingerprint_db),
     "model-json": ("models", "data_serving/performance.json",
                    lambda d: load_model(f"{d}/data_serving/performance.json")),
     "profiles-json": ("profiles", "profiles.json", lambda d: load_profiles(f"{d}/profiles.json")),
@@ -166,6 +166,43 @@ def _save_corpus_failing_mid_write(path, monkeypatch):
 
     monkeypatch.setattr(tracemodel, "_record_line", failing)
     save_corpus(_records(2), path)
+
+
+def _failing_at(n, atomic_write):
+    """``atomic_write`` whose n-th call (from 1) fails as a full disk would."""
+    calls = itertools.count(1)
+
+    def failing(path):
+        if next(calls) == n:
+            raise IoError(f"{path}: cannot write (No space left on device)")
+        return atomic_write(path)
+
+    return failing
+
+
+def _entries(db):
+    return [(e.app_label, e.metric, e.trace.period_s, e.trace.samples.tobytes())
+            for e in db.entries]
+
+
+def test_failed_db_save_keeps_previous_db(tmp_path, monkeypatch):
+    """A fingerprint DB save that fails at any one of its file writes leaves
+    the previous database loading entry for entry as before."""
+    path = str(tmp_path / "db")
+    new = build_fingerprint_db(_records(2), [CPU_UTIL], 1)
+    real = tracemodel.atomic_write
+    written = []
+    with monkeypatch.context() as m:
+        m.setattr(tracemodel, "atomic_write", lambda p: written.append(p) or real(p))
+        save_fingerprint_db(new, str(tmp_path / "clean"))
+    for n in range(1, len(written) + 1):
+        save_fingerprint_db(build_fingerprint_db(_records(1), [CPU_UTIL], 1), path)
+        before = _entries(load_fingerprint_db(path))
+        with monkeypatch.context() as m:
+            m.setattr(tracemodel, "atomic_write", _failing_at(n, real))
+            with pytest.raises(IoError):
+                save_fingerprint_db(new, path)
+        assert _entries(load_fingerprint_db(path)) == before
 
 
 @pytest.mark.parametrize(

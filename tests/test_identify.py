@@ -27,7 +27,14 @@ from vmsight.identify import (
     load_fingerprint_db,
     save_fingerprint_db,
 )
-from vmsight.tracemodel import CPU_UTIL, LLC_MISSES, NET_TX, MetricTrace, SessionRecord
+from vmsight.tracemodel import (
+    CPU_UTIL,
+    LLC_MISSES,
+    NET_TX,
+    MetricTrace,
+    SessionRecord,
+    quantize_array,
+)
 
 
 def trace(values, kind=CPU_UTIL, period=1.0):
@@ -357,14 +364,30 @@ class TestBuildDb:
         for a, b in zip(loaded.entries, db.entries):
             assert a.app_label == b.app_label and a.trace == b.trace
 
+    def test_round_trip_is_bit_exact_for_generated_traces(self, tmp_path, small_corpus):
+        """Samples straight from the generator, never rounded to 9 digits,
+        load back bit for bit."""
+        db = build_fingerprint_db(small_corpus, [CPU_UTIL, LLC_MISSES], 4)
+        save_fingerprint_db(db, str(tmp_path / "db"))
+        loaded = load_fingerprint_db(str(tmp_path / "db"))
+        assert loaded.source_session_ids == db.source_session_ids
+        assert [(e.app_label, e.metric, e.trace.period_s) for e in loaded.entries] == [
+            (e.app_label, e.metric, e.trace.period_s) for e in db.entries
+        ]
+        for a, b in zip(loaded.entries, db.entries):
+            assert np.array_equal(a.trace.samples.view(np.int64), b.trace.samples.view(np.int64))
+        assert any(
+            not np.array_equal(quantize_array(e.trace.samples), e.trace.samples)
+            for e in db.entries
+        )
+
     def test_save_over_larger_db_removes_stale_entries(self, tmp_path):
         sessions = self._sessions("abcde", 4)
         path = tmp_path / "db"
         save_fingerprint_db(build_fingerprint_db(sessions, [CPU_UTIL], 4), str(path))
         (path / "notes.txt").write_text("kept")
         save_fingerprint_db(build_fingerprint_db(sessions, [CPU_UTIL], 1), str(path))
-        entries = [f"entry{i:04d}.csv" for i in range(5)]
-        assert sorted(os.listdir(path)) == ["db.json"] + entries + ["notes.txt"]
+        assert sorted(os.listdir(path)) == ["db.json", "notes.txt"]
         assert len(load_fingerprint_db(str(path)).entries) == 5
 
     def test_reserved_label_rejected(self):

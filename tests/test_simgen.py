@@ -78,6 +78,10 @@ class TestScenarioConfig:
             {"session_duration_s": 1.0},
             {"noise_std": -0.1},
             {"time_stretch_range": (0.0, 1.0)},
+            # over MAX_TRACE_SAMPLES samples per trace at the slowest stretch
+            {"session_duration_s": 1e9},
+            {"period_s": 1e-9},
+            {"session_duration_s": 9.5e5, "time_stretch_range": (1.0, 1.1)},
         ],
     )
     def test_invalid_configs(self, kwargs):

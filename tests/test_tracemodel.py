@@ -26,7 +26,6 @@ from vmsight.tracemodel import (
     load_corpus,
     quantize,
     quantize_array,
-    records_equal,
     save_corpus,
 )
 
@@ -162,7 +161,7 @@ class TestJsonl:
         records = [make_record("a"), make_record("b")]
         path = tmp_path / "c.jsonl"
         save_corpus(records, str(path))
-        assert all(records_equal(x, y) for x, y in zip(records, load_corpus(str(path))))
+        assert load_corpus(str(path)) == records
 
 
 class TestSamples:
@@ -398,6 +397,19 @@ class TestCsv:
         with pytest.raises(ParseError, match="a.csv:4"):
             load_corpus(str(out), format="csv")
 
+    @pytest.mark.parametrize("field", ["performance", "period"])
+    def test_non_finite_number_is_io_error_before_any_file(self, tmp_path, field):
+        # "a" sorts first, so a writer that checked record by record would
+        # already have written it
+        if field == "period":
+            bad = make_record("b", period=math.inf)
+        else:
+            bad = SessionRecord(**{**vars(make_record("b")), field: math.inf})
+        out = tmp_path / "corpus"
+        with pytest.raises(IoError, match="session b: cannot write a non-finite number"):
+            save_corpus([make_record("a"), bad], str(out), format="csv")
+        assert not out.exists()
+
     def test_csv_missing_sidecar(self, tmp_path):
         out = tmp_path / "corpus"
         save_corpus([make_record("a", n=5)], str(out), format="csv")
@@ -429,8 +441,7 @@ class TestCorpusApi:
         path = tmp_path / "c.jsonl"
         save_corpus(records, str(path))
         loaded = load_corpus(str(path))
-        assert len(loaded) == len(records)
-        assert all(records_equal(x, y) for x, y in zip(records, loaded))
+        assert loaded == records
 
     def test_count_preserved_never_dropped(self, tmp_path):
         records = [make_record(f"s{i}") for i in range(7)]
