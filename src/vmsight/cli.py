@@ -20,8 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import degrade, evaluate, neural, select, simgen, tracemodel
-from .errors import ConfigInvalid, IoError, ParseError, UnknownApplication, VmsightError
+from .errors import ConfigInvalid, IoError, MissingModel, MissingProfile, ParseError
+from .errors import UnknownApplication, VmsightError
 from .identify import (
     DEFAULT_DISTANCE_THRESHOLD,
     DEFAULT_FINGERPRINT_METRICS,
@@ -32,16 +35,6 @@ from .identify import (
 )
 
 CONFIG_ENV = "CLOUDPROPHET_CONFIG"
-
-_DEFAULTS = {
-    "seed": 0,
-    "threshold_corr": select.DEFAULT_CORR_THRESHOLD,
-    "jobs": 1,
-    "json": False,
-    "format": "jsonl",
-    "min_trace_len": 60,
-    "profiles": "builtin",
-}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -91,70 +84,85 @@ def _check_config(cfg) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    """Precedence: explicit flag > config file > built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
+# every bounded scalar setting, from a flag or the config file alike: its type
+# and the interval its value must lie in
+_BOUNDS = {
+    "seed": (int, "[0, inf)"),
+    "jobs": (int, "[1, inf)"),
+    "min_trace_len": (int, "[0, inf)"),
+    "outsider": (int, "[0, inf)"),
+    "refs_per_app": (int, "[1, inf)"),
+    "threshold": (float, "(0, inf)"),
+    "amp_gain": (float, "(0, inf)"),
+    "threshold_corr": (float, "[0, 1]"),
+}
+# the comma-separated number lists and the type of their items
+_LISTS = {"hours": float, "ref_counts": int, "hidden": int}
 
 
-def _emit(args, config, payload: dict, csv_text: Optional[str] = None) -> None:
-    """Write ``payload`` as JSON to --out (``csv_text`` instead, when given
-    and --out ends in .csv) and to stdout under --json."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out = _resolve(args, config, "out")
-    if out:
-        with tracemodel.atomic_write(out) as fh:
-            fh.write(csv_text if csv_text is not None and out.endswith(".csv") else text)
-        print(f"wrote {out}", file=sys.stderr)
-    if _resolve(args, config, "json"):
-        sys.stdout.write(text)
-
-
-def _number(value, flag: str, kind=int, above=None):
-    """``kind(value)``, or ConfigInvalid naming ``flag`` if that fails, is
-    not finite or is not above ``above``."""
+def _number(value, flag: str, kind=int, interval: Optional[str] = None):
+    """``kind(value)``, or ConfigInvalid naming ``flag`` if that fails, is not
+    finite, or falls outside ``interval`` (written like "[0, inf)")."""
     try:
         number = kind(value)
-        if (kind is int or math.isfinite(number)) and (above is None or number > above):
+        if (kind is int or math.isfinite(number)) and (not interval or _within(number, interval)):
             return number
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     noun = "an integer" if kind is int else "a finite number"
-    bound = "" if above is None else f" above {above}"
-    raise ConfigInvalid(f"{flag} takes {noun}{bound}, got {value!r}")
+    where = f" in {interval}" if interval else ""
+    raise ConfigInvalid(f"{flag} takes {noun}{where}, got {value!r}")
+
+
+def _within(number, interval: str) -> bool:
+    low, high = map(float, interval[1:-1].split(","))
+    above = low < number if interval[0] == "(" else low <= number
+    return above and (number < high if interval[-1] == ")" else number <= high)
 
 
 def _numbers(text: str, flag: str, kind=int, sep: str = ",") -> list:
     return [_number(item, flag, kind) for item in text.split(sep)]
 
 
-def _corr_threshold(args, config) -> float:
-    value = _number(_resolve(args, config, "threshold_corr"), "--threshold-corr", float)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigInvalid(f"--threshold-corr takes a number in [0, 1], got {value!r}")
-    return value
-
-
-def _jobs(args, config) -> int:
-    return _number(_resolve(args, config, "jobs"), "--jobs", above=0)
-
-
-def _parse_threshold_dtw(pairs, config) -> dict[str, float]:
-    thresholds = dict(config.get("threshold_dtw", {}))
+def _parse_threshold_dtw(pairs) -> dict[str, float]:
+    texts = {}
     for item in pairs or []:
         if "=" not in item:
             raise ConfigInvalid(f"--threshold-dtw expects <metric>=<value>, got {item!r}")
         name, _, value = item.partition("=")
-        thresholds[name] = value
-    return {k: _number(v, f"--threshold-dtw {k}", float, above=0.0) for k, v in thresholds.items()}
+        texts[name] = value
+    return {k: _number(v, f"--threshold-dtw {k}", float, "(0, inf)") for k, v in texts.items()}
 
 
-def _required(args, config, key: str):
-    value = _resolve(args, config, key)
+def _settle(args: argparse.Namespace) -> None:
+    """Range-check every bounded scalar and parse every list flag of ``args``
+    in place, before the subcommand reads any file."""
+    for key, value in list(vars(args).items()):
+        flag = "--" + key.replace("_", "-")
+        if key in _BOUNDS:
+            setattr(args, key, _number(value, flag, *_BOUNDS[key]))
+        elif key in _LISTS:
+            setattr(args, key, _numbers(value, flag, _LISTS[key]))
+        elif key == "hidden_grid" and value:
+            args.hidden_grid = [tuple(_numbers(w, flag, sep="x")) for w in value.split(",")]
+        elif key == "threshold_dtw":
+            args.threshold_dtw = _parse_threshold_dtw(value)
+
+
+def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
+    """Write ``payload`` as JSON to --out (``csv_text`` instead, when given
+    and --out ends in .csv) and to stdout under --json."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with tracemodel.atomic_write(args.out) as fh:
+            fh.write(csv_text if csv_text is not None and args.out.endswith(".csv") else text)
+        print(f"wrote {args.out}", file=sys.stderr)
+    if args.json:
+        sys.stdout.write(text)
+
+
+def _required(args, key: str):
+    value = getattr(args, key)
     if not value:
         raise ConfigInvalid(f"--{key} is required")
     return value
@@ -169,16 +177,14 @@ def _parallel_map(fn, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
-def _load_sessions(args, config):
-    corpus = _required(args, config, "corpus")
-    return tracemodel.load_corpus(corpus, format=_resolve(args, config, "format"))
+def _load_sessions(args):
+    return tracemodel.load_corpus(_required(args, "corpus"), format=args.format)
 
 
-def _load_profiles(args, config):
-    source = _resolve(args, config, "profiles")
-    if source == "builtin":
+def _load_profiles(args):
+    if args.profiles == "builtin":
         return degrade.profiles_for_templates(simgen.default_templates())
-    return degrade.load_profiles(source)
+    return degrade.load_profiles(args.profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +192,30 @@ def _load_profiles(args, config):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, config) -> int:
-    seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
-    gain = _number(args.amp_gain, "--amp-gain", float, above=0.0)
-    outsiders = _number(args.outsider, "--outsider", above=-1)
-    templates = simgen.default_templates(amplitude_gain=gain)
+def _cmd_simulate(args) -> int:
+    templates = simgen.default_templates(amplitude_gain=args.amp_gain)
     cfg = simgen.ScenarioConfig(
         n_vms=args.n_vms,
         session_duration_s=args.duration_s,
         period_s=args.period_s,
         noise_std=args.noise,
         perf_noise_std=args.perf_noise,
-        rng_seed=seed,
+        rng_seed=args.seed,
     )
     records = simgen.generate(cfg, templates, args.sessions)
     if args.isolated:
         records = records + simgen.generate_isolated(cfg, templates, args.isolated)
-    if outsiders:
-        import numpy as np
-
-        outsider = simgen.outsider_template(amplitude_gain=gain)
-        rng = np.random.default_rng(seed + 2)
+    if args.outsider:
+        outsider = simgen.outsider_template(amplitude_gain=args.amp_gain)
+        rng = np.random.default_rng(args.seed + 2)
         records = records + [
             simgen.render_session(
                 outsider, cfg, f"out{i:06d}", None, float(rng.uniform(0.0, 0.9)), rng
             )
-            for i in range(outsiders)
+            for i in range(args.outsider)
         ]
-    out = _required(args, config, "out")
-    tracemodel.save_corpus(records, out, format=_resolve(args, config, "format"))
+    out = _required(args, "out")
+    tracemodel.save_corpus(records, out, format=args.format)
     if args.profiles_out:
         degrade.save_profiles(degrade.profiles_for_templates(templates), args.profiles_out)
         print(f"wrote {args.profiles_out}", file=sys.stderr)
@@ -222,17 +223,17 @@ def _cmd_simulate(args, config) -> int:
     return 0
 
 
-def _cmd_fingerprint(args, config) -> int:
-    records = _load_sessions(args, config)
+def _cmd_fingerprint(args) -> int:
+    records = _load_sessions(args)
     metrics = [tracemodel.metric_by_name(n) for n in args.metrics.split(",")]
     db = build_fingerprint_db(
         records,
         metrics,
-        n_refs_per_app=_number(args.refs_per_app, "--refs-per-app", above=0),
-        threshold=_number(args.threshold, "--threshold", float, above=0.0),
-        metric_thresholds=_parse_threshold_dtw(args.threshold_dtw, config),
+        n_refs_per_app=args.refs_per_app,
+        threshold=args.threshold,
+        metric_thresholds=args.threshold_dtw,
     )
-    out = _required(args, config, "out")
+    out = _required(args, "out")
     save_fingerprint_db(db, out)
     print(
         f"fingerprinted {len(db.labels())} apps, {len(db.entries)} entries -> {out}",
@@ -241,45 +242,40 @@ def _cmd_fingerprint(args, config) -> int:
     return 0
 
 
-def _identify_one(record, db, align, znorm, min_trace_len):
-    result = identify_session(
-        record.traces, db, align=align, znorm=znorm, min_trace_len=min_trace_len
-    )
+def _identify_one(record, db, **options):
+    result = identify_session(record.traces, db, **options)
     return {"session_id": record.session_id, **result.to_obj()}
 
 
-def _cmd_identify(args, config) -> int:
-    jobs = _jobs(args, config)
-    min_trace_len = _number(_resolve(args, config, "min_trace_len"), "--min-trace-len", above=-1)
-    records = _load_sessions(args, config)
-    db = load_fingerprint_db(_required(args, config, "db"))
+def _cmd_identify(args) -> int:
+    records = _load_sessions(args)
+    db = load_fingerprint_db(_required(args, "db"))
     one = partial(
-        _identify_one, db=db, align=args.align, znorm=args.znorm, min_trace_len=min_trace_len
+        _identify_one, db=db, align=args.align, znorm=args.znorm, min_trace_len=args.min_trace_len
     )
-    rows = _parallel_map(one, records, jobs)
-    payload = {"results": rows}
-    _emit(args, config, payload)
-    if not _resolve(args, config, "json"):
+    rows = _parallel_map(one, records, args.jobs)
+    _emit(args, {"results": rows})
+    if not args.json:
         for row in rows:
             print(f"{row['session_id']}: {row['label']}")
     return 0
 
 
-def _cmd_select_metrics(args, config) -> int:
-    threshold = _corr_threshold(args, config)
-    records = _load_sessions(args, config)
+def _cmd_select_metrics(args) -> int:
+    records = _load_sessions(args)
     target = select.Target(args.target)
-    report = select.rank_metrics(records, args.app, target, threshold=threshold, reduce=args.reduce)
-    _emit(args, config, report.to_obj())
-    if not _resolve(args, config, "json"):
+    report = select.rank_metrics(
+        records, args.app, target, threshold=args.threshold_corr, reduce=args.reduce
+    )
+    _emit(args, report.to_obj())
+    if not args.json:
         print(select.render_report(report))
     return 0
 
 
-def _cmd_train(args, config) -> int:
-    corr_threshold = _corr_threshold(args, config)
-    records = _load_sessions(args, config)
-    profiles = _load_profiles(args, config)
+def _cmd_train(args) -> int:
+    records = _load_sessions(args)
+    profiles = _load_profiles(args)
     if args.apps:
         wanted = set(args.apps.split(","))
         missing = wanted - set(profiles)
@@ -287,21 +283,16 @@ def _cmd_train(args, config) -> int:
             raise ConfigInvalid(f"unknown apps: {sorted(missing)}")
         profiles = {k: v for k, v in profiles.items() if k in wanted}
     cfg = neural.TrainConfig(
-        hidden_sizes=tuple(_numbers(args.hidden, "--hidden")),
-        max_epochs=args.max_epochs,
-        rng_seed=_number(_resolve(args, config, "seed"), "--seed", above=-1),
+        hidden_sizes=tuple(args.hidden), max_epochs=args.max_epochs, rng_seed=args.seed
     )
-    grid = None
-    if args.hidden_grid:
-        grid = [tuple(_numbers(w, "--hidden-grid", sep="x")) for w in args.hidden_grid.split(",")]
     store = degrade.fit_models_for_corpus(
         records,
         profiles,
-        corr_threshold=corr_threshold,
+        corr_threshold=args.threshold_corr,
         cfg=cfg,
-        hidden_grid=grid,
+        hidden_grid=args.hidden_grid,
     )
-    models_dir = _required(args, config, "models")
+    models_dir = _required(args, "models")
     store.save(models_dir)
     summary = {}
     for app in store.apps():
@@ -309,75 +300,69 @@ def _cmd_train(args, config) -> int:
             report = store.report(app, purpose)
             if report is not None:
                 summary[f"{app}/{purpose.value}"] = report.errors["test"]["mean"]
-    _emit(args, config, {"models": len(store), "test_mean_pct": summary})
+    _emit(args, {"models": len(store), "test_mean_pct": summary})
     print(f"trained {len(store)} models -> {models_dir}", file=sys.stderr)
     return 0
 
 
 def _predict_one(record, db, profiles, store):
+    """A session's degradation report, or the error that leaves it without one."""
     try:
         report = degrade.predict_degradation(
             record.traces, db, profiles, store, session_id=record.session_id
         )
         return report, None
-    except UnknownApplication as exc:
-        return None, str(exc)
+    except (UnknownApplication, MissingProfile, MissingModel) as exc:
+        return None, exc
 
 
-def _cmd_predict(args, config) -> int:
-    jobs = _jobs(args, config)
-    records = _load_sessions(args, config)
-    db_path, models_dir = _required(args, config, "db"), _required(args, config, "models")
+def _cmd_predict(args) -> int:
+    records = _load_sessions(args)
+    db_path, models_dir = _required(args, "db"), _required(args, "models")
     db = load_fingerprint_db(db_path)
     store = degrade.ModelStore.load(models_dir)
-    one = partial(_predict_one, db=db, profiles=_load_profiles(args, config), store=store)
-    outcomes = _parallel_map(one, records, jobs)
-    rows = []
-    reports = []
-    failures = []
-    for record, (report, msg) in zip(records, outcomes):
+    one = partial(_predict_one, db=db, profiles=_load_profiles(args), store=store)
+    outcomes = _parallel_map(one, records, args.jobs)
+    rows, reports, failures = [], [], []
+    for record, (report, error) in zip(records, outcomes):
         if report is not None:
             reports.append(report)
             rows.append(report.to_obj())
         else:
-            rows.append({"session_id": record.session_id, "error": "UnknownApplication"})
-            failures.append(msg)
-    _emit(args, config, {"results": rows}, csv_text=degrade.reports_to_csv(reports))
-    if not _resolve(args, config, "json"):
+            rows.append({"session_id": record.session_id, "error": type(error).__name__})
+            failures.append(error)
+    _emit(args, {"results": rows}, csv_text=degrade.reports_to_csv(reports))
+    if not args.json:
         for row in rows:
             if "error" in row:
                 print(f"{row['session_id']}: {row['error']}")
             else:
                 print(f"{row['session_id']}: {row['label']} deg={row['deg']:.3f}")
     if failures:
-        print(f"UnknownApplication: {failures[0]}", file=sys.stderr)
+        print(f"{type(failures[0]).__name__}: {failures[0]}", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_evaluate(args, config) -> int:
-    seed = _number(_resolve(args, config, "seed"), "--seed", above=-1)
+def _cmd_evaluate(args) -> int:
     if args.experiment == "ablation":
-        records = _load_sessions(args, config)
+        records = _load_sessions(args)
         result = evaluate.run_ablation_dtw(
             records,
-            _numbers(args.ref_counts, "--ref-counts"),
-            thresholds=_parse_threshold_dtw(args.threshold_dtw, config),
-            seed=seed,
+            args.ref_counts,
+            thresholds=args.threshold_dtw,
+            seed=args.seed,
             min_test_sessions=args.min_test_sessions,
         )
     elif args.experiment == "tradeoff":
-        cfg = simgen.ScenarioConfig(rng_seed=seed, session_duration_s=args.duration_s)
+        cfg = simgen.ScenarioConfig(rng_seed=args.seed, session_duration_s=args.duration_s)
         result = evaluate.run_sampling_tradeoff(
-            cfg,
-            simgen.default_templates(),
-            _numbers(args.hours, "--hours", float),
-            app=args.app,
+            cfg, simgen.default_templates(), args.hours, app=args.app
         )
     elif args.experiment == "timing":
-        store = degrade.ModelStore.load(_required(args, config, "models"))
-        profiles = _load_profiles(args, config)
-        records = _load_sessions(args, config)
+        store = degrade.ModelStore.load(_required(args, "models"))
+        profiles = _load_profiles(args)
+        records = _load_sessions(args)
         labeled = [r for r in records if r.app_label == args.app]
         if not labeled:
             raise ConfigInvalid(f"corpus has no sessions for app {args.app!r}")
@@ -388,26 +373,23 @@ def _cmd_evaluate(args, config) -> int:
             f"degradation chain {summary['median_degradation_us']:.1f} us",
             file=sys.stderr,
         )
-    elif args.experiment == "error-table":
-        records = _load_sessions(args, config)
-        store = degrade.ModelStore.load(_required(args, config, "models"))
-        profiles = _load_profiles(args, config)
-        gain = _number(args.amp_gain, "--amp-gain", float, above=0.0)
-        templates = simgen.default_templates(amplitude_gain=gain)
+    else:  # error-table
+        records = _load_sessions(args)
+        store = degrade.ModelStore.load(_required(args, "models"))
+        profiles = _load_profiles(args)
+        templates = simgen.default_templates(amplitude_gain=args.amp_gain)
         truth = {
             r.session_id: simgen.ground_truth_degradation(r, templates)
             for r in records
             if r.app_label in templates
         }
         table = degrade.evaluate_degradation(records, profiles, store, truth)
-        _emit(args, config, table.to_obj())
-        if not _resolve(args, config, "json"):
+        _emit(args, table.to_obj())
+        if not args.json:
             print(table.to_text())
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigInvalid(f"unknown experiment {args.experiment!r}")
-    _emit(args, config, result.to_obj())
-    if not _resolve(args, config, "json"):
+    _emit(args, result.to_obj())
+    if not args.json:
         print(result.to_csv(), end="")
     return 0
 
@@ -417,7 +399,13 @@ def _cmd_evaluate(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The vmsight parser; ``config`` values become every subcommand's defaults,
+    so a flag wins over the config and the config over the built-in default."""
+    defaults = dict(config or {})
+    if "threshold_dtw" in defaults:
+        # ahead of any --threshold-dtw flags, which therefore win per metric
+        defaults["threshold_dtw"] = [f"{k}={v}" for k, v in defaults["threshold_dtw"].items()]
     parser = argparse.ArgumentParser(
         prog="vmsight",
         description="Identify black-box VM applications and predict their "
@@ -430,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--corpus", help="corpus file or directory")
-        p.add_argument("--format", choices=["jsonl", "csv"], default=None)
+        p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
         p.add_argument("--out", help="write JSON output to this path")
-        p.add_argument("--json", action="store_const", const=True, default=None,
+        p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON on stdout")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="generate a synthetic colocated-VM corpus")
     p.add_argument("--out", help="corpus file (jsonl) or directory (csv) to write")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--sessions", type=int, default=100)
     p.add_argument("--n-vms", type=int, default=5)
     p.add_argument("--duration-s", type=float, default=300.0)
@@ -469,36 +457,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align", choices=["dtw", "truncate"], default="dtw")
     p.add_argument("--znorm", action="store_true",
                    help="z-normalize traces before matching")
-    p.add_argument("--min-trace-len", type=int, default=None, dest="min_trace_len")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--min-trace-len", type=int, default=60, dest="min_trace_len")
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("select-metrics", help="rank metrics by target correlation")
     common(p)
     p.add_argument("--app", required=True)
     p.add_argument("--target", choices=["performance", "workload"], default="performance")
-    p.add_argument("--threshold-corr", type=float, default=None, dest="threshold_corr")
+    p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
+                   dest="threshold_corr")
     p.add_argument("--reduce", choices=["mean", "max", "p95"], default="mean")
     p.set_defaults(func=_cmd_select_metrics)
 
     p = sub.add_parser("train", help="train per-application prediction nets")
     common(p)
-    p.add_argument("--profiles", default=None, help="profiles JSON or 'builtin'")
+    p.add_argument("--profiles", default="builtin", help="profiles JSON or 'builtin'")
     p.add_argument("--models", help="output directory for model files")
     p.add_argument("--apps", help="comma-separated subset of apps")
     p.add_argument("--hidden", default="8", help="hidden widths, e.g. 8 or 16,8")
     p.add_argument("--hidden-grid",
                    help="width grid for validation search, e.g. 4,8,16 or 8x8,16")
     p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--threshold-corr", type=float, default=None, dest="threshold_corr")
+    p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
+                   dest="threshold_corr")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict performance degradation per session")
     common(p)
     p.add_argument("--db")
     p.add_argument("--models")
-    p.add_argument("--profiles", default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--profiles", default="builtin")
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="run a reproducible experiment")
@@ -506,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True,
                    choices=["ablation", "tradeoff", "timing", "error-table"])
     p.add_argument("--models")
-    p.add_argument("--profiles", default=None)
+    p.add_argument("--profiles", default="builtin")
     p.add_argument("--ref-counts", default="1,4", dest="ref_counts")
     p.add_argument("--threshold-dtw", action="append", metavar="METRIC=VALUE")
     p.add_argument("--min-test-sessions", type=int, default=100)
@@ -517,18 +507,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp-gain", type=float, default=1.0)
     p.set_defaults(func=_cmd_evaluate)
 
+    for p in sub.choices.values():  # after add_argument, so a config value replaces its default
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        config = _load_config(args.config)
+        if config:
+            args = build_parser(config).parse_args(argv)
+        _settle(args)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = _load_config(args.config)
-        return args.func(args, config)
     except VmsightError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

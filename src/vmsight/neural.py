@@ -195,11 +195,9 @@ def _residuals_and_jacobian(theta, dims, x_norm, y_norm):
     layers = _unpack(theta, dims)
     n = x_norm.shape[0]
     acts = [x_norm.T]
-    zs = []
     a = acts[0]
     for i, (w, b) in enumerate(layers):
         z = w @ a + b[:, None]
-        zs.append(z)
         a = z if i == len(layers) - 1 else np.tanh(z)
         acts.append(a)
     residuals = acts[-1][0] - y_norm

@@ -103,18 +103,6 @@ class Trapezoid:
         return np.interp(pos, xp, fp)
 
 
-@dataclass(frozen=True)
-class Spikes:
-    base: float
-    peak: float
-    period_s: float
-    width_s: float
-
-    def render(self, t, seg_t0, seg_t1, phase):
-        pos = (t / self.period_s + phase) % 1.0
-        return np.where(pos < self.width_s / self.period_s, self.peak, self.base)
-
-
 # a waveform is a sequence of (duration fraction, primitive) segments
 Waveform = tuple[tuple[float, object], ...]
 
@@ -269,7 +257,7 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
         return ((1.0, Sine(base * g, amp * g, period)),)
 
     def spikes(base, peak, period, width) -> Waveform:
-        return ((1.0, Spikes(base * g, peak * g, period, width)),)
+        return ((1.0, Square(base * g, peak * g, period, width / period)),)
 
     def flat(level) -> Waveform:
         return _flat(level * g)

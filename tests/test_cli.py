@@ -1,9 +1,20 @@
+import contextlib
+import io
+import itertools
 import json
+import math
+import os
+import re
 import shutil
+import tempfile
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmsight.cli import main
+
+MISSING = "/nonexistent/vmsight/corpus.jsonl"
 
 
 def run(capsys, *argv):
@@ -294,6 +305,34 @@ class TestPredict:
         rows = json.loads(out)["results"]
         assert all(row.get("error") == "UnknownApplication" for row in rows)
 
+    @pytest.mark.parametrize("error", ["MissingProfile", "MissingModel"])
+    def test_session_without_profile_or_model_keeps_the_batch(
+        self, capsys, workspace, tmp_path, error
+    ):
+        lines = open(workspace["corpus"]).read().splitlines()[:40]  # two apps
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        gone = json.loads(lines[0])["app_label"]
+        models, profiles = tmp_path / "models", tmp_path / "profiles.json"
+        shutil.copytree(workspace["models"], models)
+        obj = json.loads(open(workspace["profiles"]).read())
+        if error == "MissingProfile":
+            del obj[gone]
+        else:
+            shutil.rmtree(models / gone)
+        profiles.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "predict", "--corpus", str(corpus), "--db", workspace["db"],
+            "--models", str(models), "--profiles", str(profiles), "--json",
+        )
+        assert code == 1
+        rows = json.loads(out)["results"]
+        assert len(rows) == len(lines)
+        errors = [row["error"] for row in rows if "error" in row]
+        assert error in errors and set(errors) <= {error, "UnknownApplication"}
+        assert any("deg" in row for row in rows)
+        assert err.startswith(f"{errors[0]}: ")
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -429,6 +468,48 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["fingerprint", "--refs-per-app", "0"],
+            ["train", "--hidden-grid", "4,x"],
+            ["evaluate", "--experiment", "ablation", "--ref-counts", "a"],
+        ],
+    )
+    def test_bad_flag_is_reported_before_any_file_is_read(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--corpus", MISSING)
+        assert code == 1
+        assert err.startswith(f"ConfigInvalid: {argv[-2]} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--sessions", "1", "--duration-s", "10"]]
+        + [[*command, "--corpus", MISSING] for command in (
+            ["fingerprint"], ["identify"], ["select-metrics", "--app", "web_serving"], ["train"],
+            ["predict"], ["evaluate", "--experiment", "ablation"],
+        )],
+    )
+    def test_config_value_out_of_range_fails_every_subcommand(self, capsys, tmp_path, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"jobs": 0}))
+        code, _, err = run(capsys, "--config", str(cfg_path), *argv)
+        assert code == 1
+        assert err.startswith("ConfigInvalid: --jobs ")
+
+    def test_config_replaces_built_in_default_and_flag_replaces_config(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        config = ["--config", str(cfg_path)]
+
+        def corpus(prefix=(), *flags):
+            out = tmp_path / f"c{len(list(tmp_path.glob('*.jsonl')))}.jsonl"
+            argv = [*prefix, "simulate", "--sessions", "1", "--duration-s", "10", *flags]
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert corpus(config) == corpus((), "--seed", "3") != corpus()
+        assert corpus(config, "--seed", "4") == corpus((), "--seed", "4") != corpus(config)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             pytest.param(["evaluate", "--experiment", "tradeoff", "--hours", "nan"],
                          id="hours-nan"),
             pytest.param(["evaluate", "--experiment", "tradeoff", "--hours", "inf"],
@@ -462,10 +543,10 @@ def _profiles_case(write):
     return setup
 
 
-def _config_case(write):
+def _config_case(write, *argv):
     def setup(ws, tmp):
         write(tmp / "cfg.json")
-        return ["--config", str(tmp / "cfg.json"), "identify", "--db", ws["db"]]
+        return ["--config", str(tmp / "cfg.json"), *(argv or ["identify", "--db", ws["db"]])]
 
     return setup
 
@@ -512,6 +593,12 @@ class TestBadFiles:
                          id="profiles-deep-nesting"),
             pytest.param(_config_case(_write('{"seed": ' + HUGE_INT + "}")), "ConfigInvalid",
                          id="config-huge-int"),
+            pytest.param(
+                _config_case(_write('{"threshold_corr": ' + "1" * 401 + "}"),
+                             "select-metrics", "--app", "web_serving"),
+                "ConfigInvalid",
+                id="config-huge-threshold-corr",
+            ),
             pytest.param(_config_case(_write("5")), "ConfigInvalid", id="config-number"),
             pytest.param(_config_case(lambda path: path.mkdir()), "ConfigInvalid",
                          id="config-dir"),
@@ -570,3 +657,173 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2 and json.loads(out1)["target"] == "workload"
+
+
+
+BIG = "1" * 400
+# hostile values: text, negative, zero, non-finite, a 400-digit integer either
+# way, and out of [0, 1]
+HOSTILE = ["abc", "-1", "0", "nan", "inf", BIG, "-" + BIG, "1.5", "-0.5"]
+# every bounded scalar flag: its argparse type and the values it accepts
+BOUNDED = {
+    "--seed": (int, lambda v: v >= 0),
+    "--jobs": (int, lambda v: v >= 1),
+    "--min-trace-len": (int, lambda v: v >= 0),
+    "--outsider": (int, lambda v: v >= 0),
+    "--refs-per-app": (int, lambda v: v >= 1),
+    "--threshold": (float, lambda v: v > 0),
+    "--amp-gain": (float, lambda v: v > 0),
+    "--threshold-corr": (float, lambda v: 0 <= v <= 1),
+}
+# every list flag and the type of its items
+LISTS = {"--hours": float, "--ref-counts": int, "--hidden": int, "--hidden-grid": int}
+# cheap values each flag accepts
+VALID = {
+    "--seed": ["0", "7", BIG], "--jobs": ["1", "2"], "--min-trace-len": ["0", "60"],
+    "--outsider": ["0", "1"], "--refs-per-app": ["1", "4", BIG], "--threshold": ["0.5", "1e300"],
+    "--amp-gain": ["0.5", "1"], "--threshold-corr": ["0", "0.3", "1"], "--hours": ["10,20"],
+    "--ref-counts": ["1,4"], "--hidden": ["8", "16,8"], "--hidden-grid": ["4,8x8"],
+    "--threshold-dtw": ["cpu_util_pct=2.5"],
+}
+_INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight/db"],
+           "models": ["--models", "/nonexistent/vmsight/models"]}
+# each subcommand's argv, which reads only missing paths or simulates at most
+# two 10 s sessions, and its numeric flags
+COMMANDS = {
+    "simulate": (["simulate", "--sessions", "1", "--duration-s", "10"],
+                 ["--seed", "--amp-gain", "--outsider"]),
+    "fingerprint": (["fingerprint", *_INPUTS["corpus"]],
+                    ["--seed", "--refs-per-app", "--threshold", "--threshold-dtw"]),
+    "identify": (["identify", *_INPUTS["corpus"], *_INPUTS["db"]],
+                 ["--seed", "--jobs", "--min-trace-len"]),
+    "select-metrics": (["select-metrics", "--app", "web_serving", *_INPUTS["corpus"]],
+                       ["--seed", "--threshold-corr"]),
+    "train": (["train", *_INPUTS["corpus"], *_INPUTS["models"]],
+              ["--seed", "--threshold-corr", "--hidden", "--hidden-grid"]),
+    "predict": (["predict", *_INPUTS["corpus"], *_INPUTS["db"], *_INPUTS["models"]],
+                ["--seed", "--jobs"]),
+    **{
+        f"evaluate {experiment}": (
+            ["evaluate", "--experiment", experiment, *_INPUTS["corpus"], *_INPUTS["models"]],
+            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw"],
+        )
+        for experiment in ("ablation", "tradeoff", "timing", "error-table")
+    },
+}
+# config keys that are bounded scalars, their flags, and the values drawn for them
+CONFIG_FLAGS = {"seed": "--seed", "jobs": "--jobs", "min_trace_len": "--min-trace-len",
+                "threshold_corr": "--threshold-corr"}
+CONFIG_HOSTILE = ["abc", -1, 0, 1, 2, float("nan"), float("inf"), 10**400, -(10**400), 1.5, -0.5]
+CONFIG_VALID = {"seed": [0, 7], "jobs": [1, 2], "min_trace_len": [0, 60],
+                "threshold_corr": [0, 0.3, 1]}
+
+
+def _accepts(kind, text, ok=lambda v: True) -> bool:
+    try:
+        value = kind(text)
+    except ValueError:
+        return False
+    return (kind is int or math.isfinite(value)) and ok(value)
+
+
+def _verdict(flag, text) -> str:
+    """'usage' if argparse rejects ``text`` for ``flag`` (exit 2), 'invalid'
+    if it is outside the flag's bounds or is not a list of its items, else
+    'ok'."""
+    if flag in BOUNDED:
+        kind, ok = BOUNDED[flag]
+        try:
+            kind(text)
+        except ValueError:
+            return "usage"
+        return "ok" if _accepts(kind, text, ok) else "invalid"
+    if flag == "--threshold-dtw":
+        _, eq, number = text.partition("=")
+        return "ok" if eq and _accepts(float, number, lambda v: v > 0) else "invalid"
+    items = re.split("[,x]", text) if flag == "--hidden-grid" else text.split(",")
+    return "ok" if all(_accepts(LISTS[flag], item) for item in items) else "invalid"
+
+
+def _config_verdict(key, value) -> str:
+    """'type' if the config file's type check rejects ``value``, else its
+    verdict as the text of the key's flag."""
+    kinds = (int, float) if key == "threshold_corr" else int
+    return _verdict(CONFIG_FLAGS[key], str(value)) if isinstance(value, kinds) else "type"
+
+
+def _hostile(flag) -> list:
+    if flag == "--threshold-dtw":
+        return [f"cpu_util_pct={v}" for v in HOSTILE] + ["cpu_util_pct"]
+    return HOSTILE
+
+
+class TestEveryFlag:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_flag_is_settled_before_any_file_is_read(self, data):
+        """A subcommand with each numeric flag and config key absent or valid,
+        but for at most one that gets a hostile value: that value alone decides
+        the outcome, before any input is read, and nothing ends in a
+        traceback."""
+        name = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+        argv, numeric = COMMANDS[name]
+        # tradeoff runs an experiment unless a value is bad: give it one bad value only
+        tradeoff = name == "evaluate tradeoff"
+        targets = [*numeric, *CONFIG_FLAGS] if tradeoff else [None, *numeric, *CONFIG_FLAGS]
+        target = data.draw(st.sampled_from(targets), label="hostile")
+
+        def draw(pool, verdict, label):
+            # a valid hostile value only where it stays cheap: no valid --jobs
+            # above 2, and nothing valid for simulate (but its listed values) or tradeoff
+            if name == "simulate" or tradeoff or label in ("--jobs", "jobs"):
+                pool = [v for v in pool if verdict(v) != "ok"]
+            by_verdict = {}
+            for value in pool:
+                by_verdict.setdefault(verdict(value), []).append(value)
+            kind = data.draw(st.sampled_from(sorted(by_verdict)), label=f"{label} verdict")
+            return data.draw(st.sampled_from(by_verdict[kind]), label=label)
+
+        flags, config = {}, {}
+        for flag in numeric:
+            if flag == target:
+                flags[flag] = draw(_hostile(flag), partial(_verdict, flag), flag)
+            elif not tradeoff:
+                flags[flag] = data.draw(st.sampled_from([None, *VALID[flag]]), label=flag)
+        for key in CONFIG_FLAGS:
+            if key == target:
+                config[key] = draw(CONFIG_HOSTILE, partial(_config_verdict, key), key)
+            elif not tradeoff:
+                config[key] = data.draw(st.sampled_from([None, *CONFIG_VALID[key]]), label=key)
+        flags = {k: v for k, v in flags.items() if v is not None}
+        config = {k: v for k, v in config.items() if v is not None}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(config, fh)
+            full = ["--config", cfg_path, *argv, *itertools.chain(*flags.items())]
+            if name == "simulate":
+                full += ["--out", os.path.join(tmp, "c.jsonl")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(full)
+        err = err.getvalue()
+
+        assert "Traceback" not in err
+        verdict, flag = "ok", target
+        if target in flags:
+            verdict = _verdict(target, flags[target])
+        elif target in config:
+            verdict, flag = _config_verdict(target, config[target]), CONFIG_FLAGS[target]
+            if verdict == "invalid" and flag in flags:
+                verdict = "ok"  # the subcommand's valid flag wins over the config
+        if verdict == "usage":
+            assert code == 2
+        elif verdict == "type":
+            assert code == 1 and err.startswith("ConfigInvalid: ") and repr(target) in err
+        elif verdict == "invalid":
+            assert code == 1 and err.startswith(f"ConfigInvalid: {flag} "), err
+        elif name == "simulate":
+            assert code == 0, err
+        else:
+            assert code == 1 and err.startswith("IoError: "), err
