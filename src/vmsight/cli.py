@@ -92,12 +92,21 @@ _BOUNDS = {
     "min_trace_len": (int, "[0, inf)"),
     "outsider": (int, "[0, inf)"),
     "refs_per_app": (int, "[1, inf)"),
+    "max_epochs": (int, "[1, inf)"),
+    "queries": (int, "[1, inf)"),
     "threshold": (float, "(0, inf)"),
     "amp_gain": (float, "(0, inf)"),
     "threshold_corr": (float, "[0, 1]"),
 }
 # the comma-separated number lists and the type of their items
-_LISTS = {"hours": float, "ref_counts": int, "hidden": int}
+_LISTS = {"hours": float, "ref_counts": int}
+# the paths each subcommand (or evaluate experiment) needs, in the order it asks for them
+_PATHS = {
+    "simulate": ("out",), "fingerprint": ("corpus", "out"), "identify": ("corpus", "db"),
+    "select-metrics": ("corpus",), "train": ("corpus", "models"),
+    "predict": ("corpus", "db", "models"), "ablation": ("corpus",), "tradeoff": (),
+    "timing": ("models", "corpus"), "error-table": ("corpus", "models"),
+}
 
 
 def _number(value, flag: str, kind=int, interval: Optional[str] = None):
@@ -120,10 +129,6 @@ def _within(number, interval: str) -> bool:
     return above and (number < high if interval[-1] == ")" else number <= high)
 
 
-def _numbers(text: str, flag: str, kind=int, sep: str = ",") -> list:
-    return [_number(item, flag, kind) for item in text.split(sep)]
-
-
 def _parse_threshold_dtw(pairs) -> dict[str, float]:
     texts = {}
     for item in pairs or []:
@@ -135,18 +140,26 @@ def _parse_threshold_dtw(pairs) -> dict[str, float]:
 
 
 def _settle(args: argparse.Namespace) -> None:
-    """Range-check every bounded scalar and parse every list flag of ``args``
-    in place, before the subcommand reads any file."""
+    """Range-check every bounded scalar, parse every list flag of ``args`` in
+    place and check that the paths the subcommand needs are given, before it
+    reads any file or generates any session."""
     for key, value in list(vars(args).items()):
         flag = "--" + key.replace("_", "-")
         if key in _BOUNDS:
             setattr(args, key, _number(value, flag, *_BOUNDS[key]))
         elif key in _LISTS:
-            setattr(args, key, _numbers(value, flag, _LISTS[key]))
-        elif key == "hidden_grid" and value:
-            args.hidden_grid = [tuple(_numbers(w, flag, sep="x")) for w in value.split(",")]
+            setattr(args, key, [_number(item, flag, _LISTS[key]) for item in value.split(",")])
+        elif key == "hidden_grid":
+            # an empty width names the whole item, so "4,x" reports 'x'
+            args.hidden_grid = [
+                tuple(_number(h or w, flag, int, "[1, inf)") for h in w.split("x"))
+                for w in value.split(",")
+            ]
         elif key == "threshold_dtw":
             args.threshold_dtw = _parse_threshold_dtw(value)
+    for key in _PATHS[getattr(args, "experiment", args.command)]:
+        if not getattr(args, key):
+            raise ConfigInvalid(f"--{key} is required")
 
 
 def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
@@ -161,13 +174,6 @@ def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
-def _required(args, key: str):
-    value = getattr(args, key)
-    if not value:
-        raise ConfigInvalid(f"--{key} is required")
-    return value
-
-
 def _parallel_map(fn, items: Sequence, jobs: int) -> list:
     """``[fn(x) for x in items]``, spread over ``jobs`` worker processes
     when jobs > 1; results keep the order of ``items``."""
@@ -178,7 +184,7 @@ def _parallel_map(fn, items: Sequence, jobs: int) -> list:
 
 
 def _load_sessions(args):
-    return tracemodel.load_corpus(_required(args, "corpus"), format=args.format)
+    return tracemodel.load_corpus(args.corpus, format=args.format)
 
 
 def _load_profiles(args):
@@ -214,12 +220,11 @@ def _cmd_simulate(args) -> int:
             )
             for i in range(args.outsider)
         ]
-    out = _required(args, "out")
-    tracemodel.save_corpus(records, out, format=args.format)
+    tracemodel.save_corpus(records, args.out, format=args.format)
     if args.profiles_out:
         degrade.save_profiles(degrade.profiles_for_templates(templates), args.profiles_out)
         print(f"wrote {args.profiles_out}", file=sys.stderr)
-    print(f"wrote {len(records)} sessions to {out}", file=sys.stderr)
+    print(f"wrote {len(records)} sessions to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -233,10 +238,9 @@ def _cmd_fingerprint(args) -> int:
         threshold=args.threshold,
         metric_thresholds=args.threshold_dtw,
     )
-    out = _required(args, "out")
-    save_fingerprint_db(db, out)
+    save_fingerprint_db(db, args.out)
     print(
-        f"fingerprinted {len(db.labels())} apps, {len(db.entries)} entries -> {out}",
+        f"fingerprinted {len(db.labels())} apps, {len(db.entries)} entries -> {args.out}",
         file=sys.stderr,
     )
     return 0
@@ -249,7 +253,7 @@ def _identify_one(record, db, **options):
 
 def _cmd_identify(args) -> int:
     records = _load_sessions(args)
-    db = load_fingerprint_db(_required(args, "db"))
+    db = load_fingerprint_db(args.db)
     one = partial(
         _identify_one, db=db, align=args.align, znorm=args.znorm, min_trace_len=args.min_trace_len
     )
@@ -264,9 +268,7 @@ def _cmd_identify(args) -> int:
 def _cmd_select_metrics(args) -> int:
     records = _load_sessions(args)
     target = select.Target(args.target)
-    report = select.rank_metrics(
-        records, args.app, target, threshold=args.threshold_corr, reduce=args.reduce
-    )
+    report = select.rank_metrics(records, args.app, target, threshold=args.threshold_corr)
     _emit(args, report.to_obj())
     if not args.json:
         print(select.render_report(report))
@@ -282,9 +284,7 @@ def _cmd_train(args) -> int:
         if missing:
             raise ConfigInvalid(f"unknown apps: {sorted(missing)}")
         profiles = {k: v for k, v in profiles.items() if k in wanted}
-    cfg = neural.TrainConfig(
-        hidden_sizes=tuple(args.hidden), max_epochs=args.max_epochs, rng_seed=args.seed
-    )
+    cfg = neural.TrainConfig(max_epochs=args.max_epochs, rng_seed=args.seed)
     store = degrade.fit_models_for_corpus(
         records,
         profiles,
@@ -292,8 +292,7 @@ def _cmd_train(args) -> int:
         cfg=cfg,
         hidden_grid=args.hidden_grid,
     )
-    models_dir = _required(args, "models")
-    store.save(models_dir)
+    store.save(args.models)
     summary = {}
     for app in store.apps():
         for purpose in neural.Purpose:
@@ -301,7 +300,7 @@ def _cmd_train(args) -> int:
             if report is not None:
                 summary[f"{app}/{purpose.value}"] = report.errors["test"]["mean"]
     _emit(args, {"models": len(store), "test_mean_pct": summary})
-    print(f"trained {len(store)} models -> {models_dir}", file=sys.stderr)
+    print(f"trained {len(store)} models -> {args.models}", file=sys.stderr)
     return 0
 
 
@@ -318,9 +317,8 @@ def _predict_one(record, db, profiles, store):
 
 def _cmd_predict(args) -> int:
     records = _load_sessions(args)
-    db_path, models_dir = _required(args, "db"), _required(args, "models")
-    db = load_fingerprint_db(db_path)
-    store = degrade.ModelStore.load(models_dir)
+    db = load_fingerprint_db(args.db)
+    store = degrade.ModelStore.load(args.models)
     one = partial(_predict_one, db=db, profiles=_load_profiles(args), store=store)
     outcomes = _parallel_map(one, records, args.jobs)
     rows, reports, failures = [], [], []
@@ -360,7 +358,7 @@ def _cmd_evaluate(args) -> int:
             cfg, simgen.default_templates(), args.hours, app=args.app
         )
     elif args.experiment == "timing":
-        store = degrade.ModelStore.load(_required(args, "models"))
+        store = degrade.ModelStore.load(args.models)
         profiles = _load_profiles(args)
         records = _load_sessions(args)
         labeled = [r for r in records if r.app_label == args.app]
@@ -375,7 +373,7 @@ def _cmd_evaluate(args) -> int:
         )
     else:  # error-table
         records = _load_sessions(args)
-        store = degrade.ModelStore.load(_required(args, "models"))
+        store = degrade.ModelStore.load(args.models)
         profiles = _load_profiles(args)
         templates = simgen.default_templates(amplitude_gain=args.amp_gain)
         truth = {
@@ -467,17 +465,16 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--target", choices=["performance", "workload"], default="performance")
     p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
                    dest="threshold_corr")
-    p.add_argument("--reduce", choices=["mean", "max", "p95"], default="mean")
     p.set_defaults(func=_cmd_select_metrics)
 
-    p = sub.add_parser("train", help="train per-application prediction nets")
+    # no abbreviations: a bare --hidden would otherwise mean --hidden-grid
+    p = sub.add_parser("train", help="train per-application prediction nets", allow_abbrev=False)
     common(p)
     p.add_argument("--profiles", default="builtin", help="profiles JSON or 'builtin'")
     p.add_argument("--models", help="output directory for model files")
     p.add_argument("--apps", help="comma-separated subset of apps")
-    p.add_argument("--hidden", default="8", help="hidden widths, e.g. 8 or 16,8")
-    p.add_argument("--hidden-grid",
-                   help="width grid for validation search, e.g. 4,8,16 or 8x8,16")
+    p.add_argument("--hidden-grid", default="8",
+                   help="hidden widths to search by validation error, e.g. 8, 16x8 or 4,8,16")
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
                    dest="threshold_corr")

@@ -34,9 +34,9 @@ from .neural import (
     load_model,
     predict,
     save_model,
-    train,
+    train,  # unused here; perfbench traces degrade.train by name
 )
-from .select import DEFAULT_CORR_THRESHOLD, CorrelationReport, Target, rank_metrics
+from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
 from .tracemodel import MetricKind, MetricTrace, SessionRecord, read_json, write_json
 
 
@@ -184,17 +184,13 @@ def predict_degradation(
         raise MissingProfile(f"no application profile for {label!r}")
 
     perf_model = models.get(label, Purpose.PERFORMANCE)
-    perf = predict(
-        perf_model, features_from_traces(traces, perf_model.input_metrics, perf_model.reduce)
-    )
+    perf = predict(perf_model, features_from_traces(traces, perf_model.input_metrics))
 
     workload = None
     if profile.variable_workload:
         wl_model = models.get(label, Purpose.WORKLOAD)
         base_model = models.get(label, Purpose.BASELINE)
-        workload = predict(
-            wl_model, features_from_traces(traces, wl_model.input_metrics, wl_model.reduce)
-        )
+        workload = predict(wl_model, features_from_traces(traces, wl_model.input_metrics))
         base = predict(base_model, [workload])
         lo, hi = profile.baseline_range
         base = min(hi, max(lo, base))  # clamp away net extrapolation artifacts
@@ -229,29 +225,23 @@ def fit_models_for_corpus(
     Each application trains only on its own sessions.  Variable-workload
     apps additionally get a workload net and a baseline net; the latter fits
     (workload -> performance) on the corpus's interference-free sessions.
-    When ``hidden_grid`` is given, each net's width is chosen by validation
-    error over that grid.
+    Each net's widths are chosen by validation error over ``hidden_grid``,
+    which defaults to ``cfg.hidden_sizes`` alone.
     """
+    grid = [replace(cfg, hidden_sizes=h) for h in hidden_grid or [cfg.hidden_sizes]]
     store = ModelStore()
     for app in sorted(profiles):
         profile = profiles[app]
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-
-        def fit(purpose: Purpose, selection: Optional[CorrelationReport], data):
-            if hidden_grid:
-                grid = [replace(cfg, hidden_sizes=h) for h in hidden_grid]
-                return hyper_search(data, purpose, grid, selection)
-            return train(data, purpose, selection, cfg)
-
         perf_sel = rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold)
-        model, report = fit(Purpose.PERFORMANCE, perf_sel, recs)
+        model, report = hyper_search(recs, Purpose.PERFORMANCE, grid, perf_sel)
         store.add(app, model, report)
 
         if profile.variable_workload:
             wl_sel = rank_metrics(recs, app, Target.WORKLOAD, corr_threshold)
-            model, report = fit(Purpose.WORKLOAD, wl_sel, recs)
+            model, report = hyper_search(recs, Purpose.WORKLOAD, grid, wl_sel)
             store.add(app, model, report)
 
             iso = [r for r in recs if r.interference_level == 0.0]
@@ -260,7 +250,7 @@ def fit_models_for_corpus(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            model, report = fit(Purpose.BASELINE, None, iso)
+            model, report = hyper_search(iso, Purpose.BASELINE, grid)
             store.add(app, model, report)
     return store
 

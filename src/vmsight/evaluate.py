@@ -32,27 +32,23 @@ class ExperimentResult:
     series: Mapping[str, list]
     summary: Mapping[str, object]
     seed: int
-    timestamp: str
     volatile_keys: frozenset[str] = frozenset()
 
     def to_obj(self, include_volatile: bool = False) -> dict:
-        """JSON payload; volatile entries (wall-clock numbers, timestamps)
-        are dropped by default so reruns stay byte-identical."""
+        """JSON payload; volatile entries (wall-clock numbers) are dropped by
+        default so reruns stay byte-identical."""
 
         def keep(d):
             return {
                 k: v for k, v in sorted(d.items()) if include_volatile or k not in self.volatile_keys
             }
 
-        obj = {
+        return {
             "name": self.name,
             "seed": self.seed,
             "series": keep(dict(self.series)),
             "summary": keep(dict(self.summary)),
         }
-        if include_volatile:
-            obj["timestamp"] = self.timestamp
-        return obj
 
     def to_csv(self) -> str:
         keys = sorted(k for k in self.series if k not in self.volatile_keys)
@@ -61,10 +57,6 @@ class ExperimentResult:
         for row in rows:
             lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
         return "\n".join(lines) + "\n"
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
 def run_ablation_dtw(
@@ -127,7 +119,6 @@ def run_ablation_dtw(
             ),
         },
         seed=seed,
-        timestamp=_now(),
     )
 
 
@@ -182,7 +173,6 @@ def run_sampling_tradeoff(
             "monotone_within_2pct": all(i > -2.0 for i in improvements),
         },
         seed=cfg.rng_seed,
-        timestamp=_now(),
     )
 
 
@@ -206,7 +196,7 @@ def run_timing(
     app = sample.app_label
     perf_model = models.get(app, Purpose.PERFORMANCE)
     x = features_from_traces(
-        sample.traces, perf_model.input_metrics, perf_model.reduce, f"session {sample.session_id}"
+        sample.traces, perf_model.input_metrics, f"session {sample.session_id}"
     )
     for _ in range(100):  # warm-up
         predict(perf_model, x)
@@ -237,6 +227,5 @@ def run_timing(
             "bound_met": bool(med_deg_us <= bound_ms * 1000.0),
         },
         seed=0,
-        timestamp=_now(),
         volatile_keys=frozenset({"median_predict_us", "median_degradation_us"}),
     )

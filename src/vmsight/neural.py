@@ -26,7 +26,14 @@ from .errors import (
 from .select import CorrelationReport, Target, trace_summary
 from .tracemodel import MetricKind, SessionRecord, read_json, write_json
 
+# Levenberg-Marquardt damping: its start, its growth on a rejected step, its
+# shrink on an accepted one, and the cap past which training gives up
+LAMBDA0 = 1e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
 LAMBDA_CAP = 1e12
+EARLY_STOP_PATIENCE = 25  # epochs without a validation gain before stopping
+SPLIT = (0.70, 0.15, 0.15)  # train/val/test fractions of an app's sessions
 REL_ERR_FLOOR = 1e-9
 _GRAD_TOL = 1e-12
 
@@ -41,22 +48,13 @@ class Purpose(enum.Enum):
 class TrainConfig:
     hidden_sizes: tuple[int, ...] = (8,)
     max_epochs: int = 200
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    early_stop_patience: int = 25
-    split: tuple[float, float, float] = (0.70, 0.15, 0.15)
     rng_seed: int = 0
 
     def __post_init__(self):
         if any(h < 1 for h in self.hidden_sizes):
             raise ConfigInvalid("hidden sizes must be positive")
-        if self.max_epochs < 1 or self.early_stop_patience < 1:
-            raise ConfigInvalid("max_epochs and early_stop_patience must be positive")
-        if min(self.lambda0, self.lambda_up, self.lambda_down) <= 0:
-            raise ConfigInvalid("damping parameters must be positive")
-        if any(f <= 0 for f in self.split) or abs(sum(self.split) - 1.0) > 1e-9:
-            raise ConfigInvalid("split fractions must be positive and sum to 1")
+        if self.max_epochs < 1:
+            raise ConfigInvalid("max_epochs must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
@@ -88,7 +86,6 @@ class MlpModel:
     input_norm: tuple[np.ndarray, np.ndarray]  # per-dimension (mean, std)
     output_norm: tuple[float, float]
     rng_seed: int = 0
-    reduce: str = "mean"
 
     def __post_init__(self):
         layers = []
@@ -258,15 +255,15 @@ def _error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
 
 
 def features_from_traces(
-    traces, metrics: Sequence[MetricKind], reduce: str = "mean", where: str = "<session>"
+    traces, metrics: Sequence[MetricKind], where: str = "<session>"
 ) -> list[float]:
     missing = [k.name for k in metrics if k not in traces]
     if missing:
         raise DimensionMismatch(f"{where} lacks metrics {missing}")
-    return [trace_summary(traces[k], reduce) for k in metrics]
+    return [trace_summary(traces[k]) for k in metrics]
 
 
-def _design_matrix(records, purpose, input_metrics, reduce):
+def _design_matrix(records, purpose, input_metrics):
     xs, ys = [], []
     for r in records:
         if purpose is Purpose.BASELINE:
@@ -282,9 +279,7 @@ def _design_matrix(records, purpose, input_metrics, reduce):
                 raise InsufficientData(
                     f"session {r.session_id} lacks a {purpose.value} target"
                 )
-            xs.append(
-                features_from_traces(r.traces, input_metrics, reduce, f"session {r.session_id}")
-            )
+            xs.append(features_from_traces(r.traces, input_metrics, f"session {r.session_id}"))
             ys.append(float(target))
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
@@ -293,11 +288,10 @@ def _design_matrix(records, purpose, input_metrics, reduce):
 class _Prepared:
     """What ``train`` derives from its records before the LM loop: the
     inputs, the split, the design matrices and their normalization.  It
-    depends on the records, the purpose, the selection and cfg.split and
-    cfg.rng_seed, never on the net's widths."""
+    depends on the records, the purpose, the selection and cfg.rng_seed,
+    never on the net's widths."""
 
     input_metrics: tuple[MetricKind, ...]
-    reduce: str
     splits: dict[str, tuple[str, ...]]
     parts: dict[str, tuple[np.ndarray, np.ndarray]]
     in_norm: tuple[np.ndarray, np.ndarray]
@@ -311,7 +305,6 @@ def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
     if purpose is Purpose.BASELINE:
         input_metrics: tuple[MetricKind, ...] = ()
-        reduce = "mean"
     else:
         if selected_metrics is None or not selected_metrics.selected:
             raise InsufficientData("no selected metrics to use as regression inputs")
@@ -321,12 +314,11 @@ def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
                 f"selection targeted {selected_metrics.target.value}, training {purpose.value}"
             )
         input_metrics = tuple(selected_metrics.selected)
-        reduce = selected_metrics.reduce
 
-    splits = split_sessions([r.session_id for r in records], cfg.split, cfg.rng_seed)
+    splits = split_sessions([r.session_id for r in records], SPLIT, cfg.rng_seed)
     by_id = {r.session_id: r for r in records}
     parts = {
-        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics, reduce)
+        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics)
         for name, ids in splits.items()
     }
     x_train, y_train = parts["train"]
@@ -335,7 +327,7 @@ def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
     return _Prepared(
-        input_metrics, reduce, splits, parts, (in_mean, in_std),
+        input_metrics, splits, parts, (in_mean, in_std),
         float(np.mean(y_train)), float(np.std(y_train)),
     )
 
@@ -351,18 +343,18 @@ def train(
     """Fit one regressor with Levenberg-Marquardt updates on the MSE.
 
     Updates solve (J'J + lambda*I) delta = J'r; lambda shrinks by
-    lambda_down on accepted steps and grows by lambda_up on rejections.
-    Training stops at max_epochs or after early_stop_patience epochs without
-    validation improvement, and the best-validation weights are returned.
-    Deterministic given cfg.rng_seed.
+    LAMBDA_DOWN on accepted steps and grows by LAMBDA_UP on rejections.
+    Training stops at cfg.max_epochs or after EARLY_STOP_PATIENCE epochs
+    without validation improvement, and the best-validation weights are
+    returned.  Deterministic given cfg.rng_seed.
 
     ``prepared`` is for hyper_search, which prepares the split and design
-    matrices once for every config sharing cfg.split and cfg.rng_seed; it
-    must come from ``_prepare`` on these same arguments.
+    matrices once for every config sharing cfg.rng_seed; it must come from
+    ``_prepare`` on these same arguments.
     """
     if prepared is None:
         prepared = _prepare(records, purpose, selected_metrics, cfg)
-    input_metrics, reduce = prepared.input_metrics, prepared.reduce
+    input_metrics = prepared.input_metrics
     parts, splits = prepared.parts, prepared.splits
     in_mean, in_std = prepared.in_norm
     out_mean, out_std = prepared.out_mean, prepared.out_std
@@ -384,9 +376,8 @@ def train(
             input_norm=(in_mean, in_std),
             output_norm=(out_mean, 1.0),
             rng_seed=cfg.rng_seed,
-            reduce=reduce,
         )
-        report = _build_report(model, parts, purpose, splits, 0, cfg.lambda0)
+        report = _build_report(model, parts, purpose, splits, 0, LAMBDA0)
         return model, report
 
     def norm_x(x):
@@ -401,7 +392,7 @@ def train(
 
     rng = np.random.default_rng(cfg.rng_seed)
     theta = _pack(_init_layers(rng, dims))
-    lam = cfg.lambda0
+    lam = LAMBDA0
     sse = _sse(theta, dims, xt, yt)
     eye = np.eye(theta.shape[0])
 
@@ -411,7 +402,7 @@ def train(
 
     best_theta = theta.copy()
     best_val = val_error(theta)
-    patience = cfg.early_stop_patience
+    patience = EARLY_STOP_PATIENCE
     accepted_ever = False
     epochs_run = 0
 
@@ -426,18 +417,18 @@ def train(
             try:
                 delta = np.linalg.solve(hess + lam * eye, grad)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_up
+                lam *= LAMBDA_UP
                 continue
             candidate = theta - delta
             sse_new = _sse(candidate, dims, xt, yt)
             if math.isfinite(sse_new) and sse_new < sse:
                 theta = candidate
                 sse = sse_new
-                lam = max(lam * cfg.lambda_down, 1e-12)
+                lam = max(lam * LAMBDA_DOWN, 1e-12)
                 accepted = True
                 accepted_ever = True
                 break
-            lam *= cfg.lambda_up
+            lam *= LAMBDA_UP
         if not accepted:
             if not accepted_ever:
                 raise Diverged(f"damping exceeded {LAMBDA_CAP:g} without an accepted step")
@@ -447,7 +438,7 @@ def train(
         if v < best_val - 1e-12:
             best_val = v
             best_theta = theta.copy()
-            patience = cfg.early_stop_patience
+            patience = EARLY_STOP_PATIENCE
         else:
             patience -= 1
             if patience == 0:
@@ -460,7 +451,6 @@ def train(
         input_norm=(in_mean, in_std),
         output_norm=(out_mean, out_std),
         rng_seed=cfg.rng_seed,
-        reduce=reduce,
     )
     report = _build_report(model, parts, purpose, splits, epochs_run, lam)
     return model, report
@@ -493,14 +483,13 @@ def hyper_search(
     grid = list(cfg_grid)
     if not grid:
         raise ConfigInvalid("hyperparameter grid is empty")
-    prepared: dict[tuple, _Prepared] = {}
+    prepared: dict[int, _Prepared] = {}
     best = None
     for cfg in grid:
-        split_key = (cfg.split, cfg.rng_seed)
-        if split_key not in prepared:
-            prepared[split_key] = _prepare(records, purpose, selected_metrics, cfg)
+        if cfg.rng_seed not in prepared:
+            prepared[cfg.rng_seed] = _prepare(records, purpose, selected_metrics, cfg)
         model, report = train(
-            records, purpose, selected_metrics, cfg, prepared=prepared[split_key]
+            records, purpose, selected_metrics, cfg, prepared=prepared[cfg.rng_seed]
         )
         key = (report.errors["val"]["mean"], model.parameter_count())
         if best is None or key < best[0]:
@@ -530,7 +519,6 @@ def model_to_obj(model: MlpModel, report: Optional[FitReport] = None) -> dict:
         },
         "output_norm": {"mean": model.output_norm[0], "std": model.output_norm[1]},
         "rng_seed": model.rng_seed,
-        "reduce": model.reduce,
         "fit_report": None if report is None else report.to_obj(),
     }
 
@@ -558,7 +546,6 @@ def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
         ),
         output_norm=(obj["output_norm"]["mean"], obj["output_norm"]["std"]),
         rng_seed=int(obj["rng_seed"]),
-        reduce=obj.get("reduce", "mean"),
     )
     report = None
     if obj.get("fit_report"):

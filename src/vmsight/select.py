@@ -1,7 +1,7 @@
 """Rank hardware metrics by Pearson correlation against a prediction target.
 
-Each session contributes one observation per metric (a scalar summary of
-its trace), and metrics whose absolute correlation with the target clears a
+Each session contributes one observation per metric (the mean of its
+trace), and metrics whose absolute correlation with the target clears a
 threshold are selected as regression inputs.
 """
 
@@ -29,17 +29,12 @@ def target_value(record: SessionRecord, target: Target):
     return record.performance if target is Target.PERFORMANCE else record.workload_level
 
 
-def trace_summary(trace: MetricTrace, reduce: str = "mean") -> float:
-    """Collapse a trace to the per-session scalar used for correlation."""
+def trace_summary(trace: MetricTrace) -> float:
+    """A trace's per-session mean: the scalar that is correlated with the
+    target and fed to the nets."""
     samples = trace.samples
-    if reduce == "mean":
-        # np.mean's own pairwise sum and single division, without its dispatch
-        return float(np.add.reduce(samples) / samples.shape[0])
-    if reduce == "max":
-        return float(np.max(samples))
-    if reduce == "p95":
-        return float(np.percentile(samples, 95))
-    raise ValueError(f"unknown reduction {reduce!r}")
+    # np.mean's own pairwise sum and single division, without its dispatch
+    return float(np.add.reduce(samples) / samples.shape[0])
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -78,7 +73,6 @@ class CorrelationReport:
     rho: Mapping[MetricKind, float]
     selected: tuple[MetricKind, ...]
     threshold: float
-    reduce: str = "mean"
 
     def __post_init__(self):
         object.__setattr__(self, "rho", dict(self.rho))
@@ -88,7 +82,6 @@ class CorrelationReport:
         return {
             "target": self.target.value,
             "threshold": self.threshold,
-            "reduce": self.reduce,
             "rho": {k.name: v for k, v in sorted(self.rho.items(), key=lambda kv: kv[0].name)},
             "selected": [k.name for k in self.selected],
         }
@@ -99,7 +92,6 @@ def rank_metrics(
     app: str,
     target: Target,
     threshold: float = DEFAULT_CORR_THRESHOLD,
-    reduce: str = "mean",
 ) -> CorrelationReport:
     """Correlate every shared metric of ``app``'s sessions with the target.
 
@@ -123,7 +115,7 @@ def rank_metrics(
     targets = [float(target_value(r, target)) for r in usable]
     rho: dict[MetricKind, float] = {}
     for kind in sorted(metrics, key=lambda k: k.name):
-        series = [trace_summary(r.traces[kind], reduce) for r in usable]
+        series = [trace_summary(r.traces[kind]) for r in usable]
         try:
             rho[kind] = pearson(series, targets)
         except ConstantSeries:
@@ -132,9 +124,7 @@ def rank_metrics(
         (k for k, v in rho.items() if abs(v) >= threshold and v != 0.0),
         key=lambda k: (-abs(rho[k]), k.name),
     )
-    return CorrelationReport(
-        target=target, rho=rho, selected=tuple(selected), threshold=threshold, reduce=reduce
-    )
+    return CorrelationReport(target=target, rho=rho, selected=tuple(selected), threshold=threshold)
 
 
 def render_report(report: CorrelationReport, width: int = 40) -> str:

@@ -12,6 +12,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmsight import simgen, tracemodel
 from vmsight.cli import main
 
 MISSING = "/nonexistent/vmsight/corpus.jsonl"
@@ -471,12 +472,44 @@ class TestConfigFile:
             ["fingerprint", "--refs-per-app", "0"],
             ["train", "--hidden-grid", "4,x"],
             ["evaluate", "--experiment", "ablation", "--ref-counts", "a"],
+            ["train", "--hidden-grid", "4,8x"],
+            ["train", "--hidden-grid", "0"],
+            ["train", "--max-epochs", "0"],
+            ["evaluate", "--experiment", "timing", "--queries", "0"],
         ],
     )
     def test_bad_flag_is_reported_before_any_file_is_read(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--corpus", MISSING)
         assert code == 1
         assert err.startswith(f"ConfigInvalid: {argv[-2]} ")
+        # the message names the part of the value that is bad, as typed
+        got = err.strip().rpartition(", got ")[2].strip("'")
+        assert got and got in argv[-1]
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "--sessions", "1"], "out"),
+            (["fingerprint", "--corpus", MISSING], "out"),
+            (["identify", "--corpus", MISSING], "db"),
+            (["select-metrics", "--app", "web_serving"], "corpus"),
+            (["train", "--corpus", MISSING], "models"),
+            (["predict", "--corpus", MISSING], "db"),
+            (["predict", "--corpus", MISSING, "--db", "db"], "models"),
+            (["evaluate", "--experiment", "ablation"], "corpus"),
+            (["evaluate", "--experiment", "timing", "--corpus", MISSING], "models"),
+            (["evaluate", "--experiment", "error-table", "--corpus", MISSING], "models"),
+        ],
+    )
+    def test_missing_path_is_reported_before_any_work(self, capsys, monkeypatch, argv, key):
+        def called(*args, **kwargs):
+            raise AssertionError("work done before the paths were checked")
+
+        monkeypatch.setattr(tracemodel, "load_corpus", called)
+        monkeypatch.setattr(simgen, "generate", called)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"ConfigInvalid: --{key} is required")
 
     @pytest.mark.parametrize(
         "argv",
@@ -674,38 +707,43 @@ BOUNDED = {
     "--threshold": (float, lambda v: v > 0),
     "--amp-gain": (float, lambda v: v > 0),
     "--threshold-corr": (float, lambda v: 0 <= v <= 1),
+    "--max-epochs": (int, lambda v: v >= 1),
+    "--queries": (int, lambda v: v >= 1),
 }
-# every list flag and the type of its items
-LISTS = {"--hours": float, "--ref-counts": int, "--hidden": int, "--hidden-grid": int}
+# every list flag, the type of its items and the values they accept
+LISTS = {"--hours": (float, lambda v: True), "--ref-counts": (int, lambda v: True),
+         "--hidden-grid": (int, lambda v: v >= 1)}
 # cheap values each flag accepts
 VALID = {
     "--seed": ["0", "7", BIG], "--jobs": ["1", "2"], "--min-trace-len": ["0", "60"],
     "--outsider": ["0", "1"], "--refs-per-app": ["1", "4", BIG], "--threshold": ["0.5", "1e300"],
     "--amp-gain": ["0.5", "1"], "--threshold-corr": ["0", "0.3", "1"], "--hours": ["10,20"],
-    "--ref-counts": ["1,4"], "--hidden": ["8", "16,8"], "--hidden-grid": ["4,8x8"],
-    "--threshold-dtw": ["cpu_util_pct=2.5"],
+    "--ref-counts": ["1,4"], "--hidden-grid": ["8", "16x8", "4,8x8"],
+    "--threshold-dtw": ["cpu_util_pct=2.5"], "--max-epochs": ["1", "200"],
+    "--queries": ["1", "2000"],
 }
 _INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight/db"],
-           "models": ["--models", "/nonexistent/vmsight/models"]}
+           "models": ["--models", "/nonexistent/vmsight/models"],
+           "out": ["--out", "/nonexistent/vmsight/out"]}
 # each subcommand's argv, which reads only missing paths or simulates at most
 # two 10 s sessions, and its numeric flags
 COMMANDS = {
     "simulate": (["simulate", "--sessions", "1", "--duration-s", "10"],
                  ["--seed", "--amp-gain", "--outsider"]),
-    "fingerprint": (["fingerprint", *_INPUTS["corpus"]],
+    "fingerprint": (["fingerprint", *_INPUTS["corpus"], *_INPUTS["out"]],
                     ["--seed", "--refs-per-app", "--threshold", "--threshold-dtw"]),
     "identify": (["identify", *_INPUTS["corpus"], *_INPUTS["db"]],
                  ["--seed", "--jobs", "--min-trace-len"]),
     "select-metrics": (["select-metrics", "--app", "web_serving", *_INPUTS["corpus"]],
                        ["--seed", "--threshold-corr"]),
     "train": (["train", *_INPUTS["corpus"], *_INPUTS["models"]],
-              ["--seed", "--threshold-corr", "--hidden", "--hidden-grid"]),
+              ["--seed", "--threshold-corr", "--hidden-grid", "--max-epochs"]),
     "predict": (["predict", *_INPUTS["corpus"], *_INPUTS["db"], *_INPUTS["models"]],
                 ["--seed", "--jobs"]),
     **{
         f"evaluate {experiment}": (
             ["evaluate", "--experiment", experiment, *_INPUTS["corpus"], *_INPUTS["models"]],
-            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw"],
+            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw", "--queries"],
         )
         for experiment in ("ablation", "tradeoff", "timing", "error-table")
     },
@@ -741,7 +779,8 @@ def _verdict(flag, text) -> str:
         _, eq, number = text.partition("=")
         return "ok" if eq and _accepts(float, number, lambda v: v > 0) else "invalid"
     items = re.split("[,x]", text) if flag == "--hidden-grid" else text.split(",")
-    return "ok" if all(_accepts(LISTS[flag], item) for item in items) else "invalid"
+    kind, ok = LISTS[flag]
+    return "ok" if all(_accepts(kind, item, ok) for item in items) else "invalid"
 
 
 def _config_verdict(key, value) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vmsight import neural
 from vmsight.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -122,11 +123,11 @@ class TestTrain:
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert r1.errors == r2.errors
 
-    def test_diverged_when_damping_starts_above_cap(self):
+    def test_diverged_when_damping_starts_above_cap(self, monkeypatch):
         records = linear_records()
-        cfg = TrainConfig(lambda0=5e12, lambda_up=10.0)
+        monkeypatch.setattr(neural, "LAMBDA0", 5e12)
         with pytest.raises(Diverged):
-            train(records, Purpose.PERFORMANCE, selection(records), cfg)
+            train(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
 
     def test_corrupting_test_targets_changes_nothing(self):
         # test rows must never influence the weights
@@ -224,10 +225,6 @@ class TestSplit:
             ids, (0.7, 0.15, 0.15), 9
         )
 
-    def test_split_config_validated(self):
-        with pytest.raises(ConfigInvalid):
-            TrainConfig(split=(0.5, 0.2, 0.2))
-
 
 class TestPredict:
     def test_zero_hidden_layer_affine(self):
@@ -273,6 +270,17 @@ class TestHyperSearch:
         for (w1, _), (w2, _) in zip(m1.layers, m2.layers):
             assert np.array_equal(w1, w2)
         assert r1.errors == r2.errors
+
+    @pytest.mark.parametrize("purpose, target", [
+        (Purpose.PERFORMANCE, Target.PERFORMANCE), (Purpose.WORKLOAD, Target.WORKLOAD),
+    ])
+    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target):
+        records = linear_records(noise=0.2)
+        cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
+        sel = rank_metrics(records, "toy", target, 0.3)
+        searched = hyper_search(records, purpose, [cfg], sel)
+        trained = train(records, purpose, sel, cfg)
+        assert model_to_obj(*searched) == model_to_obj(*trained)
 
     def test_wider_net_wins_nonlinear_target(self):
         rng = np.random.default_rng(2)

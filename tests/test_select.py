@@ -151,11 +151,7 @@ class TestRankMetrics:
 class TestTraceSummary:
     def test_reductions(self):
         t = MetricTrace(CPU_UTIL, np.array([0.0, 10.0, 20.0, 100.0]))
-        assert trace_summary(t, "mean") == pytest.approx(32.5)
-        assert trace_summary(t, "max") == 100.0
-        assert trace_summary(t, "p95") == pytest.approx(np.percentile(t.samples, 95))
-        with pytest.raises(ValueError):
-            trace_summary(t, "median")
+        assert trace_summary(t) == pytest.approx(32.5)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -167,5 +163,5 @@ class TestTraceSummary:
     ))
     def test_mean_matches_np_mean_bit_for_bit(self, values):
         t = MetricTrace(CPU_UTIL, values)
-        got = np.array([trace_summary(t, "mean"), np.mean(t.samples)])
+        got = np.array([trace_summary(t), np.mean(t.samples)])
         assert got.view(np.int64)[0] == got.view(np.int64)[1]
