@@ -42,5 +42,5 @@ for i in range(0, 60, 3):
     level = trace[i]
     print(f"  t={i:>3}s {level:>6.1f}% |" + "#" * int(level / 4))
 
-save_corpus(corpus, "/tmp/vmsight_demo_corpus.jsonl")
-print("\nsaved to /tmp/vmsight_demo_corpus.jsonl")
+save_corpus(corpus, "vmsight_demo_corpus.jsonl")
+print("\nsaved to vmsight_demo_corpus.jsonl in the working directory")

@@ -94,6 +94,7 @@ _BOUNDS = {
     "refs_per_app": (int, "[1, inf)"),
     "max_epochs": (int, "[1, inf)"),
     "queries": (int, "[1, inf)"),
+    "min_test_sessions": (int, "[1, inf)"),
     "threshold": (float, "(0, inf)"),
     "amp_gain": (float, "(0, inf)"),
     "threshold_corr": (float, "[0, 1]"),

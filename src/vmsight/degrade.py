@@ -10,9 +10,11 @@ session performs at its baseline; larger values mean interference.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 import os
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .neural import (
     MlpModel,
     Purpose,
     TrainConfig,
+    error_stats,
     features_from_traces,
     hyper_search,
     load_model,
@@ -57,16 +60,21 @@ class AppProfile:
     baseline_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.variable_workload:
-            if self.baseline_range is None:
-                raise ValueError(f"{self.name}: variable workload requires baseline_range")
-        else:
-            if self.fixed_baseline is None:
-                raise ValueError(f"{self.name}: fixed workload requires fixed_baseline")
+        if self.variable_workload and self.baseline_range is None:
+            raise ValueError(f"{self.name}: variable workload requires baseline_range")
+        if not self.variable_workload and self.fixed_baseline is None:
+            raise ValueError(f"{self.name}: fixed workload requires fixed_baseline")
+        if self.fixed_baseline is not None and not _positive(self.fixed_baseline):
+            raise ValueError(f"{self.name}: fixed_baseline must be a finite number > 0")
         if self.baseline_range is not None:
             lo, hi = self.baseline_range
-            if not (hi > lo > 0):
-                raise ValueError(f"{self.name}: baseline_range must satisfy hi > lo > 0")
+            if not (_positive(lo) and _positive(hi) and hi > lo):
+                raise ValueError(f"{self.name}: baseline_range must be finite with hi > lo > 0")
+
+
+def _positive(value) -> bool:
+    """A positive finite real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -228,7 +236,7 @@ def fit_models_for_corpus(
     Each net's widths are chosen by validation error over ``hidden_grid``,
     which defaults to ``cfg.hidden_sizes`` alone.
     """
-    grid = [replace(cfg, hidden_sizes=h) for h in hidden_grid or [cfg.hidden_sizes]]
+    widths = hidden_grid or [cfg.hidden_sizes]
     store = ModelStore()
     for app in sorted(profiles):
         profile = profiles[app]
@@ -236,12 +244,12 @@ def fit_models_for_corpus(
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
         perf_sel = rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold)
-        model, report = hyper_search(recs, Purpose.PERFORMANCE, grid, perf_sel)
+        model, report = hyper_search(recs, Purpose.PERFORMANCE, cfg, widths, perf_sel)
         store.add(app, model, report)
 
         if profile.variable_workload:
             wl_sel = rank_metrics(recs, app, Target.WORKLOAD, corr_threshold)
-            model, report = hyper_search(recs, Purpose.WORKLOAD, grid, wl_sel)
+            model, report = hyper_search(recs, Purpose.WORKLOAD, cfg, widths, wl_sel)
             store.add(app, model, report)
 
             iso = [r for r in recs if r.interference_level == 0.0]
@@ -250,7 +258,7 @@ def fit_models_for_corpus(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            model, report = hyper_search(iso, Purpose.BASELINE, grid)
+            model, report = hyper_search(iso, Purpose.BASELINE, cfg, widths)
             store.add(app, model, report)
     return store
 
@@ -265,10 +273,9 @@ class DegradationTable:
     """Per-application error statistics, train and test splits."""
 
     rows: tuple[dict, ...]
-    skipped: int  # sessions identification rejected (end-to-end mode only)
 
     def to_obj(self) -> dict:
-        return {"rows": [dict(r) for r in self.rows], "skipped": self.skipped}
+        return {"rows": [dict(r) for r in self.rows]}
 
     def to_text(self) -> str:
         lines = [f"{'App':<18} {'Split':<6} {'N':>5} {'mean%':>8} {'max%':>8} {'std%':>8}"]
@@ -285,77 +292,45 @@ def evaluate_degradation(
     profiles: Mapping[str, AppProfile],
     models: ModelStore,
     truth: Mapping[str, float],
-    db: Optional[FingerprintDb] = None,
-    use_identification: bool = False,
-    predictor: Optional[Callable[[SessionRecord], float]] = None,
 ) -> DegradationTable:
     """Score degradation predictions against ground-truth indices.
 
-    By default sessions are evaluated under their true labels, measuring the
-    prediction stage alone (identification accuracy is gated separately);
-    ``use_identification=True`` runs the full workflow and counts rejected
-    sessions as skipped.  ``predictor`` swaps in any session -> deg callable,
-    the plug-in seam for comparison methods.  Split membership follows the
-    performance net's training split; unseen sessions count as test.
+    Sessions are evaluated under their true labels, measuring the prediction
+    stage alone (identification accuracy is gated separately).  Split
+    membership follows the performance net's training split; unseen sessions
+    count as test, and validation sessions are left out.
     """
     labeled = [r for r in records if r.app_label is not None and r.session_id in truth]
     if not labeled:
         raise InsufficientData("no labeled sessions with ground truth to evaluate")
 
-    split_of: dict[str, dict[str, str]] = {}
+    split_of: dict[str, dict[str, str]] = {}  # app -> session id -> split
     for app in sorted({r.app_label for r in labeled}):
-        report = models.report(app, Purpose.PERFORMANCE) if predictor is None else None
-        mapping: dict[str, str] = {}
-        if report is not None:
-            for split, ids in report.split_ids.items():
-                for sid in ids:
-                    mapping[sid] = split
-        split_of[app] = mapping
+        report = models.report(app, Purpose.PERFORMANCE)
+        splits = report.split_ids if report is not None else {}
+        split_of[app] = {sid: split for split, ids in splits.items() for sid in ids}
 
-    errors: dict[tuple[str, str], list[float]] = {}
-    skipped = 0
+    pairs: dict[tuple[str, str], list[tuple[float, float]]] = {}  # -> (predicted, true)
     for record in sorted(labeled, key=lambda r: r.session_id):
         app = record.app_label
-        if predictor is not None:
-            deg_pred = float(predictor(record))
-        else:
-            try:
-                report = predict_degradation(
-                    record.traces,
-                    db,
-                    profiles,
-                    models,
-                    session_id=record.session_id,
-                    label=None if use_identification else app,
-                )
-            except UnknownApplication:
-                skipped += 1
-                continue
-            deg_pred = report.deg
-        deg_true = truth[record.session_id]
-        rel = abs(deg_pred - deg_true) / max(abs(deg_true), 1e-9) * 100.0
         split = split_of[app].get(record.session_id, "test")
         if split == "val":
             continue  # the table mirrors train/test reporting only
-        errors.setdefault((app, split), []).append(rel)
+        report = predict_degradation(
+            record.traces, None, profiles, models, session_id=record.session_id, label=app
+        )
+        pairs.setdefault((app, split), []).append((report.deg, truth[record.session_id]))
 
-    if not any(split == "test" for _, split in errors):
+    if not any(split == "test" for _, split in pairs):
         raise InsufficientData("evaluation produced an empty test split")
 
     rows = []
-    for (app, split) in sorted(errors, key=lambda k: (k[0], k[1] != "train")):
-        vals = np.asarray(errors[(app, split)])
-        rows.append(
-            {
-                "app": app,
-                "split": split,
-                "n": int(vals.size),
-                "mean_pct": float(np.mean(vals)),
-                "max_pct": float(np.max(vals)),
-                "std_pct": float(np.std(vals)),
-            }
-        )
-    return DegradationTable(rows=tuple(rows), skipped=skipped)
+    for (app, split) in sorted(pairs, key=lambda k: (k[0], k[1] != "train")):
+        pred, true = np.asarray(pairs[(app, split)]).T
+        stats = error_stats(pred, true)
+        rows.append({"app": app, "split": split, "n": len(pred),
+                     **{f"{k}_pct": v for k, v in stats.items()}})
+    return DegradationTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +355,13 @@ def profiles_to_obj(profiles: Mapping[str, AppProfile]) -> dict:
 def profiles_from_obj(obj: dict) -> dict[str, AppProfile]:
     profiles = {}
     for name, entry in obj.items():
+        if not isinstance(entry["variable_workload"], bool):
+            raise ValueError(f"{name}: variable_workload must be true or false")
         profiles[name] = AppProfile(
             name=name,
             perf_metric_name=entry["perf_metric_name"],
             perf_orientation=Orientation(entry["perf_orientation"]),
-            variable_workload=bool(entry["variable_workload"]),
+            variable_workload=entry["variable_workload"],
             fixed_baseline=entry.get("fixed_baseline"),
             baseline_range=None
             if entry.get("baseline_range") is None

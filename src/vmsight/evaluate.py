@@ -81,6 +81,8 @@ def run_ablation_dtw(
         raise ConfigInvalid("ref_counts must be non-empty")
     if any(c < 1 for c in counts):
         raise ConfigInvalid("ref_counts must be positive")
+    if min_test_sessions < 1:
+        raise ConfigInvalid("min_test_sessions must be positive")
     kinds = [metric_by_name(n) for n in metrics]
     labeled = [r for r in corpus if r.app_label is not None]
     dbs = [

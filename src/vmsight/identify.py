@@ -370,6 +370,6 @@ def _db_from_index(index: Mapping) -> FingerprintDb:
 
 def _entry(i: int, item: Mapping) -> FingerprintEntry:
     kind = metric_by_name(item["metric"])
-    samples = _samples(item["samples"], f"db.json: entry {i}")
+    samples = _samples(item["samples"], f"entry {i}")
     trace = MetricTrace(kind, samples, period_s=float(item["period_s"]))
     return FingerprintEntry(item["app_label"], kind, trace)

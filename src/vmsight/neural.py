@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteInput,
 )
 from .select import CorrelationReport, Target, trace_summary
-from .tracemodel import MetricKind, SessionRecord, read_json, write_json
+from .tracemodel import MetricKind, SessionRecord, metric_by_name, read_json, write_json
 
 # Levenberg-Marquardt damping: its start, its growth on a rejected step, its
 # shrink on an accepted one, and the cap past which training gives up
@@ -249,7 +249,8 @@ def _rel_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.abs(pred - truth) / np.maximum(np.abs(truth), REL_ERR_FLOOR)
 
 
-def _error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
+def error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
+    """Mean, max and std of the relative errors of ``pred``, in percent."""
     errs = _rel_errors(pred, truth) * 100.0
     return {"mean": float(np.mean(errs)), "max": float(np.max(errs)), "std": float(np.std(errs))}
 
@@ -349,8 +350,8 @@ def train(
     returned.  Deterministic given cfg.rng_seed.
 
     ``prepared`` is for hyper_search, which prepares the split and design
-    matrices once for every config sharing cfg.rng_seed; it must come from
-    ``_prepare`` on these same arguments.
+    matrices once for every width it tries; it must come from ``_prepare``
+    on these same arguments.
     """
     if prepared is None:
         prepared = _prepare(records, purpose, selected_metrics, cfg)
@@ -460,7 +461,7 @@ def _build_report(model, parts, purpose, splits, epochs_run, final_lambda) -> Fi
     errors = {}
     for name in ("train", "val", "test"):
         x, y = parts[name]
-        errors[name] = _error_stats(predict_batch(model, x), y)
+        errors[name] = error_stats(predict_batch(model, x), y)
     return FitReport(
         purpose=purpose,
         errors=errors,
@@ -473,23 +474,24 @@ def _build_report(model, parts, purpose, splits, epochs_run, final_lambda) -> Fi
 def hyper_search(
     records: Sequence[SessionRecord],
     purpose: Purpose,
-    cfg_grid: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    widths: Sequence[tuple[int, ...]],
     selected_metrics: Optional[CorrelationReport] = None,
 ) -> tuple[MlpModel, FitReport]:
-    """Train one model per config and keep the best validation error.
+    """Train ``cfg`` once per distinct hidden-width tuple in ``widths``, on
+    one shared split, and keep the net with the best validation error.
 
-    Ties are broken toward the model with fewer parameters.
+    Ties go to the net with fewer parameters, then to the earlier width.
     """
-    grid = list(cfg_grid)
-    if not grid:
+    widths = list(dict.fromkeys(tuple(w) for w in widths))
+    if not widths:
         raise ConfigInvalid("hyperparameter grid is empty")
-    prepared: dict[int, _Prepared] = {}
+    prepared = _prepare(records, purpose, selected_metrics, cfg)
     best = None
-    for cfg in grid:
-        if cfg.rng_seed not in prepared:
-            prepared[cfg.rng_seed] = _prepare(records, purpose, selected_metrics, cfg)
+    for hidden in widths:
         model, report = train(
-            records, purpose, selected_metrics, cfg, prepared=prepared[cfg.rng_seed]
+            records, purpose, selected_metrics, replace(cfg, hidden_sizes=hidden),
+            prepared=prepared,
         )
         key = (report.errors["val"]["mean"], model.parameter_count())
         if best is None or key < best[0]:
@@ -524,11 +526,9 @@ def model_to_obj(model: MlpModel, report: Optional[FitReport] = None) -> dict:
 
 
 def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
-    from .tracemodel import Category, MetricKind as MK
-
-    metrics = tuple(
-        MK(m["name"], Category(m["category"])) for m in obj["input_metrics"]
-    )
+    metrics = tuple(metric_by_name(m["name"]) for m in obj["input_metrics"])
+    if [k.category.value for k in metrics] != [m["category"] for m in obj["input_metrics"]]:
+        raise ValueError("input_metrics: a category does not match its metric name")
     layers = tuple(
         (
             np.asarray(l["weights"], dtype=float).reshape(l["shape"]),

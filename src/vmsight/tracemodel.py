@@ -16,7 +16,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import IO, Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -255,8 +254,8 @@ def read_json(path: str, build: Callable[[Any], T]) -> T:
     """Load the JSON file at ``path`` and turn it into an object with ``build``.
 
     An unreadable file raises IoError.  Invalid JSON, and content ``build``
-    rejects with KeyError, TypeError, ValueError, AttributeError or
-    OverflowError, raise ParseError naming the file.
+    rejects with ParseError, KeyError, TypeError, ValueError, AttributeError
+    or OverflowError, raise ParseError naming the file.
     """
     where = os.path.basename(path)
     obj = parse_json(_read_bytes(path), where)
@@ -264,7 +263,7 @@ def read_json(path: str, build: Callable[[Any], T]) -> T:
         return build(obj)
     except KeyError as exc:
         raise ParseError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (ParseError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -513,10 +512,10 @@ def _save_csv(records: Sequence[SessionRecord], path: str) -> None:
         write_json(base + ".meta.json", _labels_to_obj(record))
 
 
-def _sidecar_labels(where: str, meta) -> dict:
+def _sidecar_labels(meta) -> dict:
     if not isinstance(meta, dict) or set(meta) != _META_KEYS:
-        raise ParseError(f"{where}: keys must be {sorted(_META_KEYS)}")
-    return _labels(meta, where)
+        raise ParseError(f"keys must be {sorted(_META_KEYS)}")
+    return _labels(meta, "labels")
 
 
 def _load_csv_session(csv_path: str) -> SessionRecord:
@@ -524,7 +523,7 @@ def _load_csv_session(csv_path: str) -> SessionRecord:
     meta_path = csv_path[: -len(".csv")] + ".meta.json"
     if not os.path.exists(meta_path):
         raise ParseError(f"{session_id}: missing sidecar {os.path.basename(meta_path)}")
-    labels = read_json(meta_path, partial(_sidecar_labels, os.path.basename(meta_path)))
+    labels = read_json(meta_path, _sidecar_labels)
     kinds, rows = read_trace_csv(csv_path)
     steps = np.diff(rows[:, 0])
     period = float(steps[0])

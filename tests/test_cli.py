@@ -208,6 +208,11 @@ class TestIdentify:
                 "ParseError",
                 id="entry-without-samples",
             ),
+            pytest.param(
+                _edit_index(lambda index: index["entries"][1].update(metric="nosuch_metric")),
+                "ParseError",
+                id="unknown-metric",
+            ),
             pytest.param(lambda db: (db / "db.json").unlink(), "IoError", id="missing-db-json"),
         ],
     )
@@ -217,7 +222,7 @@ class TestIdentify:
         corrupt(db)
         code, _, err = run(capsys, "identify", "--corpus", workspace["corpus"], "--db", str(db))
         assert code == 1
-        assert err.startswith(f"{error}: ")
+        assert err.startswith(f"{error}: ") and "db.json" in err.splitlines()[0]
 
 
 class TestPredict:
@@ -238,6 +243,24 @@ class TestPredict:
         assert code == 0
         rows = json.loads(out)["results"]
         assert all("deg" in row for row in rows if "error" not in row)
+
+    @pytest.mark.parametrize(
+        "app, key, value",
+        [("kv_store", "fixed_baseline", v) for v in (0, "abc", [1], -3, True, float("inf"))]
+        + [("web_serving", "variable_workload", "no")]
+        + [("web_serving", "baseline_range", v) for v in ([0, 5], [5, "x"], [True, 5], [9, 5])],
+    )
+    def test_bad_profile_is_a_parse_error(self, capsys, workspace, tmp_path, app, key, value):
+        profiles = json.loads(open(workspace["profiles"]).read())
+        profiles[app][key] = value
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(profiles))
+        code, _, err = run(
+            capsys, "predict", "--corpus", workspace["corpus"], "--db", workspace["db"],
+            "--models", workspace["models"], "--profiles", str(path),
+        )
+        assert code == 1
+        assert err.startswith(f"ParseError: profiles.json: {app}: ") and "Traceback" not in err
 
     def test_csv_batch_report(self, capsys, workspace, tmp_path):
         out = str(tmp_path / "deg.csv")
@@ -352,7 +375,17 @@ class TestPredict:
                     '{"rng_seed": ' + "1" * 5000 + "}"
                 ),
                 id="int-too-long",
-            )
+            ),
+            pytest.param(
+                _edit_model(lambda obj: obj["input_metrics"][0].update(name="nosuch_metric")),
+                id="unknown-metric",
+            ),
+            pytest.param(
+                _edit_model(lambda obj: obj["input_metrics"][0].update(
+                    category="Network" if obj["input_metrics"][0]["category"] == "CPU" else "CPU"
+                )),
+                id="wrong-category",
+            ),
         ],
     )
     def test_corrupted_model_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt):
@@ -372,7 +405,7 @@ class TestPredict:
             workspace["profiles"],
         )
         assert code == 1
-        assert err.startswith("ParseError: ")
+        assert err.startswith("ParseError: performance.json: ")
 
 
 class TestConfigFile:
@@ -709,6 +742,7 @@ BOUNDED = {
     "--threshold-corr": (float, lambda v: 0 <= v <= 1),
     "--max-epochs": (int, lambda v: v >= 1),
     "--queries": (int, lambda v: v >= 1),
+    "--min-test-sessions": (int, lambda v: v >= 1),
 }
 # every list flag, the type of its items and the values they accept
 LISTS = {"--hours": (float, lambda v: True), "--ref-counts": (int, lambda v: True),
@@ -720,7 +754,7 @@ VALID = {
     "--amp-gain": ["0.5", "1"], "--threshold-corr": ["0", "0.3", "1"], "--hours": ["10,20"],
     "--ref-counts": ["1,4"], "--hidden-grid": ["8", "16x8", "4,8x8"],
     "--threshold-dtw": ["cpu_util_pct=2.5"], "--max-epochs": ["1", "200"],
-    "--queries": ["1", "2000"],
+    "--queries": ["1", "2000"], "--min-test-sessions": ["1", "100"],
 }
 _INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight/db"],
            "models": ["--models", "/nonexistent/vmsight/models"],
@@ -743,7 +777,8 @@ COMMANDS = {
     **{
         f"evaluate {experiment}": (
             ["evaluate", "--experiment", experiment, *_INPUTS["corpus"], *_INPUTS["models"]],
-            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw", "--queries"],
+            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw", "--queries",
+             "--min-test-sessions"],
         )
         for experiment in ("ablation", "tradeoff", "timing", "error-table")
     },

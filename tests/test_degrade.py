@@ -248,18 +248,18 @@ class TestPipelineIsolation:
 
 
 class TestEvaluateDegradation:
-    def test_stub_predictor_scores_zero(self, small_corpus, profiles, trained_store, templates):
+    def test_own_predictions_score_zero(self, small_corpus, profiles, trained_store):
         truth = {
-            r.session_id: ground_truth_degradation(r, templates) for r in small_corpus
+            r.session_id: predict_degradation(
+                r.traces, None, profiles, trained_store, label=r.app_label
+            ).deg
+            for r in small_corpus
         }
-        table = evaluate_degradation(
-            small_corpus,
-            profiles,
-            trained_store,
-            truth,
-            predictor=lambda r: truth[r.session_id],
+        table = evaluate_degradation(small_corpus, profiles, trained_store, truth)
+        assert table.rows
+        assert all(
+            row["mean_pct"] == row["max_pct"] == row["std_pct"] == 0.0 for row in table.rows
         )
-        assert all(row["mean_pct"] == 0.0 and row["max_pct"] == 0.0 for row in table.rows)
 
     def test_pipeline_errors_within_targets(self, small_corpus, profiles, trained_store, templates):
         truth = {
@@ -275,30 +275,6 @@ class TestEvaluateDegradation:
     def test_empty_truth_rejected(self, small_corpus, profiles, trained_store):
         with pytest.raises(InsufficientData):
             evaluate_degradation(small_corpus, profiles, trained_store, {})
-
-    def test_end_to_end_mode_identifies_and_counts_skips(
-        self, small_corpus, profiles, trained_store, templates
-    ):
-        from vmsight.simgen import outsider_template
-
-        db = build_fingerprint_db(small_corpus, [CPU_UTIL], 4)
-        subset = small_corpus[:80]
-        truth = {r.session_id: ground_truth_degradation(r, templates) for r in subset}
-        # an unfingerprinted session must be skipped, not scored
-        cfg = ScenarioConfig(session_duration_s=120.0, rng_seed=66)
-        rng = np.random.default_rng(66)
-        stranger = render_session(outsider_template(), cfg, "zz-stranger", None, 0.4, rng)
-        truth[stranger.session_id] = 1.4
-        table = evaluate_degradation(
-            list(subset) + [stranger],
-            profiles,
-            trained_store,
-            truth,
-            db=db,
-            use_identification=True,
-        )
-        assert table.skipped >= 1
-        assert all(row["mean_pct"] < 50.0 for row in table.rows)
 
     def test_csv_and_text_rendering(self, small_corpus, profiles, trained_store, templates):
         truth = {

@@ -30,6 +30,10 @@ class TestAblation:
         with pytest.raises(ConfigInvalid):
             run_ablation_dtw(id_corpus, [])
 
+    def test_zero_min_test_sessions_rejected(self, id_corpus):
+        with pytest.raises(ConfigInvalid):
+            run_ablation_dtw(id_corpus, [1], min_test_sessions=0)
+
     def test_insufficient_heldout_rejected(self, id_corpus):
         with pytest.raises(InsufficientData):
             run_ablation_dtw(id_corpus[:40], [1], min_test_sessions=100)

@@ -265,7 +265,7 @@ class TestHyperSearch:
         records = linear_records(noise=0.2)
         cfg = TrainConfig(hidden_sizes=(4,), rng_seed=1)
         sel = selection(records)
-        m1, r1 = hyper_search(records, Purpose.PERFORMANCE, [cfg], sel)
+        m1, r1 = hyper_search(records, Purpose.PERFORMANCE, cfg, [cfg.hidden_sizes], sel)
         m2, r2 = train(records, Purpose.PERFORMANCE, sel, cfg)
         for (w1, _), (w2, _) in zip(m1.layers, m2.layers):
             assert np.array_equal(w1, w2)
@@ -278,7 +278,7 @@ class TestHyperSearch:
         records = linear_records(noise=0.2)
         cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
         sel = rank_metrics(records, "toy", target, 0.3)
-        searched = hyper_search(records, purpose, [cfg], sel)
+        searched = hyper_search(records, purpose, cfg, [cfg.hidden_sizes], sel)
         trained = train(records, purpose, sel, cfg)
         assert model_to_obj(*searched) == model_to_obj(*trained)
 
@@ -297,18 +297,33 @@ class TestHyperSearch:
                 )
             )
         sel = selection(records)
-        grid = [
-            TrainConfig(hidden_sizes=(2,), rng_seed=0, max_epochs=150),
-            TrainConfig(hidden_sizes=(8,), rng_seed=0, max_epochs=150),
-        ]
-        best_model, best_report = hyper_search(records, Purpose.PERFORMANCE, grid, sel)
-        small, small_report = train(records, Purpose.PERFORMANCE, sel, grid[0])
+        cfg = TrainConfig(hidden_sizes=(2,), rng_seed=0, max_epochs=150)
+        best_model, best_report = hyper_search(
+            records, Purpose.PERFORMANCE, cfg, [(2,), (8,)], sel
+        )
+        small, small_report = train(records, Purpose.PERFORMANCE, sel, cfg)
         assert best_model.layers[0][0].shape[0] == 8
         assert best_report.errors["val"]["mean"] <= small_report.errors["val"]["mean"]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigInvalid):
-            hyper_search(linear_records(), Purpose.PERFORMANCE, [], None)
+            hyper_search(linear_records(), Purpose.PERFORMANCE, TrainConfig(), [], None)
+
+    def test_repeated_width_trains_once(self, monkeypatch):
+        records = linear_records(noise=0.2)
+        cfg = TrainConfig(rng_seed=3, max_epochs=40)
+        sel = selection(records)
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args[3].hidden_sizes)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "train", counting_train)
+        repeated = hyper_search(records, Purpose.PERFORMANCE, cfg, [(8,), (8,), (4,)], sel)
+        assert calls == [(8,), (4,)]
+        distinct = hyper_search(records, Purpose.PERFORMANCE, cfg, [(8,), (4,)], sel)
+        assert model_to_obj(*repeated) == model_to_obj(*distinct)
 
 
 class TestModelIo:
