@@ -13,7 +13,7 @@ templates = default_templates()
 cfg = ScenarioConfig(session_duration_s=120.0, rng_seed=7)
 
 print("operation modes:")
-for mode, action in cfg.mode_table(templates).items():
+for mode, action in enumerate(["idle", *sorted(templates)]):
     print(f"  mode {mode}: {action}")
 
 corpus = generate(cfg, templates, 60)

@@ -136,6 +136,10 @@ def _parse_threshold_dtw(pairs) -> dict[str, float]:
         if "=" not in item:
             raise ConfigInvalid(f"--threshold-dtw expects <metric>=<value>, got {item!r}")
         name, _, value = item.partition("=")
+        try:
+            tracemodel.metric_by_name(name)
+        except ParseError as exc:
+            raise ConfigInvalid(f"--threshold-dtw {exc}") from None
         texts[name] = value
     return {k: _number(v, f"--threshold-dtw {k}", float, "(0, inf)") for k, v in texts.items()}
 
@@ -287,11 +291,7 @@ def _cmd_train(args) -> int:
         profiles = {k: v for k, v in profiles.items() if k in wanted}
     cfg = neural.TrainConfig(max_epochs=args.max_epochs, rng_seed=args.seed)
     store = degrade.fit_models_for_corpus(
-        records,
-        profiles,
-        corr_threshold=args.threshold_corr,
-        cfg=cfg,
-        hidden_grid=args.hidden_grid,
+        records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid
     )
     store.save(args.models)
     summary = {}

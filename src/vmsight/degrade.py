@@ -296,13 +296,16 @@ def evaluate_degradation(
     """Score degradation predictions against ground-truth indices.
 
     Sessions are evaluated under their true labels, measuring the prediction
-    stage alone (identification accuracy is gated separately).  Split
+    stage alone (identification accuracy is gated separately).  Only the
+    sessions of apps that ``models`` holds nets for are scored, so a tree
+    trained on a subset of the apps gives rows for that subset.  Split
     membership follows the performance net's training split; unseen sessions
     count as test, and validation sessions are left out.
     """
-    labeled = [r for r in records if r.app_label is not None and r.session_id in truth]
+    modeled = set(models.apps())
+    labeled = [r for r in records if r.app_label in modeled and r.session_id in truth]
     if not labeled:
-        raise InsufficientData("no labeled sessions with ground truth to evaluate")
+        raise InsufficientData("no sessions with ground truth and a modeled app to evaluate")
 
     split_of: dict[str, dict[str, str]] = {}  # app -> session id -> split
     for app in sorted({r.app_label for r in labeled}):
@@ -383,24 +386,15 @@ def profiles_for_templates(templates) -> dict[str, AppProfile]:
     profiles = {}
     for name in sorted(templates):
         t = templates[name]
-        orientation = (
-            Orientation.HIGHER_IS_BETTER if t.higher_is_better else Orientation.LOWER_IS_BETTER
+        variable = t.variable_workload
+        profiles[name] = AppProfile(
+            name=name,
+            perf_metric_name=t.perf_metric_name,
+            perf_orientation=(
+                Orientation.HIGHER_IS_BETTER if t.higher_is_better else Orientation.LOWER_IS_BETTER
+            ),
+            variable_workload=variable,
+            fixed_baseline=None if variable else float(t.baseline),
+            baseline_range=(min(t.baseline), max(t.baseline)) if variable else None,
         )
-        if t.variable_workload:
-            lo, hi = t.baseline
-            profiles[name] = AppProfile(
-                name=name,
-                perf_metric_name=t.perf_metric_name,
-                perf_orientation=orientation,
-                variable_workload=True,
-                baseline_range=(min(lo, hi), max(lo, hi)),
-            )
-        else:
-            profiles[name] = AppProfile(
-                name=name,
-                perf_metric_name=t.perf_metric_name,
-                perf_orientation=orientation,
-                variable_workload=False,
-                fixed_baseline=float(t.baseline),
-            )
     return profiles

@@ -21,9 +21,12 @@ from .degrade import AppProfile, ModelStore, predict_degradation
 from .errors import ConfigInvalid, InsufficientData
 from .identify import _decide, _rows, build_fingerprint_db
 from .neural import Purpose, TrainConfig, features_from_traces, predict, train
-from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
+from .select import Target, rank_metrics
 from .simgen import AppTemplate, ScenarioConfig, generate
 from .tracemodel import SessionRecord, metric_by_name
+
+ABLATION_METRICS = ("cpu_util_pct",)  # the fingerprint metrics the DTW ablation matches on
+LATENCY_BOUND_MS = 1.0  # the degradation chain's latency bound, per session
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class ExperimentResult:
 def run_ablation_dtw(
     corpus: Sequence[SessionRecord],
     ref_counts: Sequence[int],
-    metrics: Sequence[str] = ("cpu_util_pct",),
     thresholds: Optional[Mapping[str, float]] = None,
     seed: int = 0,
     min_test_sessions: int = 100,
@@ -83,7 +85,7 @@ def run_ablation_dtw(
         raise ConfigInvalid("ref_counts must be positive")
     if min_test_sessions < 1:
         raise ConfigInvalid("min_test_sessions must be positive")
-    kinds = [metric_by_name(n) for n in metrics]
+    kinds = [metric_by_name(n) for n in ABLATION_METRICS]
     labeled = [r for r in corpus if r.app_label is not None]
     dbs = [
         build_fingerprint_db(labeled, kinds, c, metric_thresholds=thresholds or {})
@@ -115,7 +117,7 @@ def run_ablation_dtw(
         },
         summary={
             "held_out_sessions": len(held),
-            "metrics": list(metrics),
+            "metrics": list(ABLATION_METRICS),
             "dtw_always_higher": all(
                 d > t for d, t in zip(acc["dtw"], acc["truncate"])
             ),
@@ -129,7 +131,6 @@ def run_sampling_tradeoff(
     templates: Mapping[str, AppTemplate],
     hours_grid: Sequence[float],
     app: str = "data_serving",
-    corr_threshold: float = DEFAULT_CORR_THRESHOLD,
     train_cfg: TrainConfig = TrainConfig(),
 ) -> ExperimentResult:
     """Performance-net error as a function of sampled corpus size.
@@ -154,7 +155,7 @@ def run_sampling_tradeoff(
         point_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
         corpus = generate(point_cfg, templates, n_sessions)
         recs = [r for r in corpus if r.app_label == app]
-        selection = rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold)
+        selection = rank_metrics(recs, app, Target.PERFORMANCE)
         _, report = train(recs, Purpose.PERFORMANCE, selection, train_cfg)
         for split in errors:
             errors[split].append(report.errors[split]["mean"])
@@ -183,7 +184,6 @@ def run_timing(
     profiles: Mapping[str, AppProfile],
     sample: SessionRecord,
     n_queries: int = 10000,
-    bound_ms: float = 1.0,
 ) -> ExperimentResult:
     """Median warm latency of the prediction stage.
 
@@ -223,10 +223,10 @@ def run_timing(
         summary={
             "app": app,
             "n_queries": n_queries,
-            "bound_ms": bound_ms,
+            "bound_ms": LATENCY_BOUND_MS,
             "median_predict_us": med_predict_us,
             "median_degradation_us": med_deg_us,
-            "bound_met": bool(med_deg_us <= bound_ms * 1000.0),
+            "bound_met": bool(med_deg_us <= LATENCY_BOUND_MS * 1000.0),
         },
         seed=0,
         volatile_keys=frozenset({"median_predict_us", "median_degradation_us"}),

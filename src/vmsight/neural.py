@@ -127,13 +127,19 @@ class MlpModel:
         return sum(w.size + b.size for w, b in self.layers)
 
 
+def _activations(layers, x_norm: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations (width, n) on normalized inputs (n, d),
+    the inputs first and the normalized outputs (1, n) last."""
+    acts = [x_norm.T]
+    for i, (w, b) in enumerate(layers):
+        z = w @ acts[-1] + b[:, None]
+        acts.append(z if i == len(layers) - 1 else np.tanh(z))
+    return acts
+
+
 def _forward_norm(layers, x_norm: np.ndarray) -> np.ndarray:
     """Forward pass on normalized inputs (n, d) -> normalized outputs (n,)."""
-    a = x_norm.T
-    for i, (w, b) in enumerate(layers):
-        z = w @ a + b[:, None]
-        a = z if i == len(layers) - 1 else np.tanh(z)
-    return a[0]
+    return _activations(layers, x_norm)[-1][0]
 
 
 def predict(model: MlpModel, x: Sequence[float]) -> float:
@@ -191,12 +197,7 @@ def _residuals_and_jacobian(theta, dims, x_norm, y_norm):
     normalized scale.  One backprop pass per layer, vectorized over samples."""
     layers = _unpack(theta, dims)
     n = x_norm.shape[0]
-    acts = [x_norm.T]
-    a = acts[0]
-    for i, (w, b) in enumerate(layers):
-        z = w @ a + b[:, None]
-        a = z if i == len(layers) - 1 else np.tanh(z)
-        acts.append(a)
+    acts = _activations(layers, x_norm)
     residuals = acts[-1][0] - y_norm
 
     jac = np.empty((n, theta.shape[0]))
@@ -223,10 +224,9 @@ def _sse(theta, dims, x_norm, y_norm) -> float:
     return float(r @ r)
 
 
-def split_sessions(
-    session_ids: Sequence[str], split: tuple[float, float, float], rng_seed: int
-) -> dict[str, tuple[str, ...]]:
-    """Seeded shuffle of session ids into disjoint train/val/test parts."""
+def split_sessions(session_ids: Sequence[str], rng_seed: int) -> dict[str, tuple[str, ...]]:
+    """Seeded shuffle of session ids into disjoint train/val/test parts of
+    about the SPLIT fractions."""
     ids = sorted(session_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("session ids must be unique")
@@ -234,8 +234,8 @@ def split_sessions(
     perm = rng.permutation(len(ids))
     shuffled = [ids[i] for i in perm]
     n = len(ids)
-    n_train = int(round(split[0] * n))
-    n_val = int(round(split[1] * n))
+    n_train = int(round(SPLIT[0] * n))
+    n_val = int(round(SPLIT[1] * n))
     n_train = min(n_train, n - 2)
     n_val = max(1, min(n_val, n - n_train - 1))
     return {
@@ -316,7 +316,7 @@ def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
             )
         input_metrics = tuple(selected_metrics.selected)
 
-    splits = split_sessions([r.session_id for r in records], SPLIT, cfg.rng_seed)
+    splits = split_sessions([r.session_id for r in records], cfg.rng_seed)
     by_id = {r.session_id: r for r in records}
     parts = {
         name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics)
@@ -362,37 +362,20 @@ def train(
     x_train, y_train = parts["train"]
 
     dims = [x_train.shape[1], *cfg.hidden_sizes, 1]
-
+    rng = np.random.default_rng(cfg.rng_seed)
+    layers = _init_layers(rng, dims)
     if out_std == 0.0:
         # constant target: the normalized problem is y == 0, solved exactly
-        # by a zero output layer; output_norm maps it back to the constant
-        rng = np.random.default_rng(cfg.rng_seed)
-        layers = _init_layers(rng, dims)
+        # by a zero output layer, so LM stops at its first gradient check
         w_last, b_last = layers[-1]
         layers[-1] = (np.zeros_like(w_last), np.zeros_like(b_last))
-        model = MlpModel(
-            purpose=purpose,
-            input_metrics=input_metrics,
-            layers=tuple((w, b) for w, b in layers),
-            input_norm=(in_mean, in_std),
-            output_norm=(out_mean, 1.0),
-            rng_seed=cfg.rng_seed,
-        )
-        report = _build_report(model, parts, purpose, splits, 0, LAMBDA0)
-        return model, report
+        out_std = 1.0
 
-    def norm_x(x):
-        return (x - in_mean) / in_std
-
-    def norm_y(y):
-        return (y - out_mean) / out_std
-
-    xt, yt = norm_x(x_train), norm_y(y_train)
     x_val, y_val = parts["val"]
-    xv = norm_x(x_val)
+    xt, yt = (x_train - in_mean) / in_std, (y_train - out_mean) / out_std
+    xv = (x_val - in_mean) / in_std
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    theta = _pack(_init_layers(rng, dims))
+    theta = _pack(layers)
     lam = LAMBDA0
     sse = _sse(theta, dims, xt, yt)
     eye = np.eye(theta.shape[0])

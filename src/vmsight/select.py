@@ -18,6 +18,7 @@ from .errors import ConstantSeries, InsufficientData, LengthMismatch
 from .tracemodel import MetricKind, MetricTrace, SessionRecord
 
 DEFAULT_CORR_THRESHOLD = 0.3
+BAR_WIDTH = 40  # characters of bar for |rho| = 1 in render_report
 
 
 class Target(enum.Enum):
@@ -127,12 +128,12 @@ def rank_metrics(
     return CorrelationReport(target=target, rho=rho, selected=tuple(selected), threshold=threshold)
 
 
-def render_report(report: CorrelationReport, width: int = 40) -> str:
+def render_report(report: CorrelationReport) -> str:
     """ASCII bar table of correlations, strongest first."""
     lines = [f"correlation vs {report.target.value} (threshold {report.threshold:g})"]
     ordered = sorted(report.rho.items(), key=lambda kv: (-abs(kv[1]), kv[0].name))
     for kind, value in ordered:
-        bar = "#" * int(round(abs(value) * width))
+        bar = "#" * int(round(abs(value) * BAR_WIDTH))
         mark = "*" if kind in report.selected else " "
         lines.append(f"{mark} {kind.name:<16} {value:+.3f} |{bar}")
     return "\n".join(lines)

@@ -401,6 +401,12 @@ def outsider_template(amplitude_gain: float = 1.0) -> AppTemplate:
 # ---------------------------------------------------------------------------
 
 
+# coupling of a co-resident's mean usage, per category, into interference
+COUPLING = {Category.CPU: 0.20, Category.MEMORY: 0.175, Category.NETWORK: 0.125}
+TIME_STRETCH = (0.92, 1.08)  # range of a session's time-axis dilation
+PHASE_JITTER = 0.25  # start-of-recording offset, in cycle fractions
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Colocation scenario: concurrent VMs rolling random operation modes."""
@@ -408,53 +414,29 @@ class ScenarioConfig:
     n_vms: int = 5
     session_duration_s: float = 300.0
     period_s: float = 1.0
-    idle_duration_s: float = 180.0
-    coupling: Mapping[Category, float] = field(
-        default_factory=lambda: {
-            Category.CPU: 0.20,
-            Category.MEMORY: 0.175,
-            Category.NETWORK: 0.125,
-        }
-    )
     noise_std: float = 1.0  # scales each metric's noise_ref
     perf_noise_std: float = 0.01  # relative noise on achieved performance
     rng_seed: int = 0
-    time_stretch_range: tuple[float, float] = (0.92, 1.08)
-    phase_jitter: float = 0.25  # start-of-recording offset, in cycle fractions
 
     def __post_init__(self):
         if self.n_vms < 1:
             raise ConfigInvalid("n_vms must be >= 1")
-        if not (0 < self.period_s < math.inf and 0 <= self.idle_duration_s < math.inf):
-            raise ConfigInvalid("period_s must be positive, idle_duration_s non-negative")
+        if not (0 < self.period_s < math.inf):
+            raise ConfigInvalid("period_s must be positive")
         if not (4 * self.period_s <= self.session_duration_s < math.inf):
             raise ConfigInvalid("session_duration_s must be finite and >= 4 sampling periods")
         if not (0 <= self.noise_std < math.inf and 0 <= self.perf_noise_std < math.inf):
             raise ConfigInvalid("noise levels must be finite and non-negative")
-        lo, hi = self.time_stretch_range
-        if not (0 < lo <= hi):
-            raise ConfigInvalid("time_stretch_range must satisfy 0 < lo <= hi")
+        hi = TIME_STRETCH[1]
         if self.session_duration_s * hi / self.period_s > MAX_TRACE_SAMPLES:
             raise ConfigInvalid(
                 f"session_duration_s * {hi:g} / period_s exceeds {MAX_TRACE_SAMPLES} samples"
             )
-        if not (0 <= self.phase_jitter <= 1):
-            raise ConfigInvalid("phase_jitter must lie in [0, 1]")
-        if not all(0 <= v < math.inf for v in self.coupling.values()):
-            raise ConfigInvalid("coupling coefficients must be finite and non-negative")
-        object.__setattr__(self, "coupling", dict(self.coupling))
-
-    def mode_table(self, templates: Mapping[str, AppTemplate]) -> dict[int, str]:
-        """Mode 0 idles for idle_duration_s; modes 1..n run one template each."""
-        table = {IDLE_MODE: f"idle for {self.idle_duration_s:g} s"}
-        for i, name in enumerate(sorted(templates), start=1):
-            table[i] = f"run {name}"
-        return table
 
 
-def _pressure(template: AppTemplate, coupling: Mapping[Category, float]) -> float:
+def _pressure(template: AppTemplate) -> float:
     usage = template.mean_usage()
-    return sum(coupling[cat] * usage[cat] for cat in usage)
+    return sum(COUPLING[cat] * usage[cat] for cat in usage)
 
 
 def render_session(
@@ -468,8 +450,8 @@ def render_session(
     """Render one session at a forced (workload, interference) point."""
     if template.variable_workload and workload is None:
         raise ConfigInvalid(f"{template.name} needs a workload level")
-    stretch = float(rng.uniform(*cfg.time_stretch_range))
-    phase = float(rng.uniform(0.0, cfg.phase_jitter)) if cfg.phase_jitter else 0.0
+    stretch = float(rng.uniform(*TIME_STRETCH))
+    phase = float(rng.uniform(0.0, PHASE_JITTER))
     n = max(4, int(round(cfg.session_duration_s * stretch / cfg.period_s)))
     w_norm = template.workload_norm(workload) if template.variable_workload else 0.0
     traces = {}
@@ -514,7 +496,7 @@ def generate(
     if not templates:
         raise ConfigInvalid("at least one template is required")
     names = sorted(templates)
-    pressures = {name: _pressure(templates[name], cfg.coupling) for name in names}
+    pressures = {name: _pressure(templates[name]) for name in names}
     rng = np.random.default_rng(cfg.rng_seed)
     sessions: list[SessionRecord] = []
     seq = 0

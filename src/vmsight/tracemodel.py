@@ -460,7 +460,10 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
         raise ParseError(f"{where}: traces must be a non-empty object")
     traces = {}
     for name, values in traces_obj.items():
-        kind = metric_by_name(name)
+        try:
+            kind = metric_by_name(name)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
         if not isinstance(values, list) or len(values) < 2:
             raise ParseError(f"{where}: trace {name!r} needs >= 2 samples")
         samples = _samples(values, f"{where}: trace {name!r}")

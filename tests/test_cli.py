@@ -477,6 +477,8 @@ class TestConfigFile:
             pytest.param(["train", "--hidden-grid", "4,x"], id="hidden-grid"),
             pytest.param(["fingerprint", "--threshold-dtw", "cpu_util_pct=abc"],
                          id="threshold-dtw"),
+            pytest.param(["fingerprint", "--threshold-dtw", "cpu_util=1"],
+                         id="threshold-dtw-unknown-metric"),
             pytest.param(["fingerprint", "--refs-per-app", "0"], id="refs-per-app"),
             pytest.param(["fingerprint", "--threshold", "0"], id="threshold"),
             pytest.param(["simulate", "--seed", "-1"], id="seed"),

@@ -272,6 +272,18 @@ class TestEvaluateDegradation:
             bound = 10.0 if profiles[row["app"]].variable_workload else 3.0
             assert row["mean_pct"] <= bound, row
 
+    def test_partial_tree_scores_its_apps_only(self, small_corpus, profiles, templates):
+        from vmsight.neural import TrainConfig
+
+        only = {"kv_store": profiles["kv_store"]}
+        store = fit_models_for_corpus(small_corpus, only, cfg=TrainConfig(max_epochs=60))
+        truth = {r.session_id: ground_truth_degradation(r, templates) for r in small_corpus}
+        table = evaluate_degradation(small_corpus, profiles, store, truth)
+        assert [row["app"] for row in table.rows] == ["kv_store", "kv_store"]
+        others = [r for r in small_corpus if r.app_label != "kv_store"]
+        with pytest.raises(InsufficientData):
+            evaluate_degradation(others, profiles, store, truth)
+
     def test_empty_truth_rejected(self, small_corpus, profiles, trained_store):
         with pytest.raises(InsufficientData):
             evaluate_degradation(small_corpus, profiles, trained_store, {})

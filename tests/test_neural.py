@@ -10,6 +10,7 @@ from vmsight.errors import (
     NonFiniteInput,
 )
 from vmsight.neural import (
+    LAMBDA0,
     MlpModel,
     Purpose,
     TrainConfig,
@@ -109,6 +110,8 @@ class TestTrain:
         model, report = train(records, Purpose.BASELINE, None, TrainConfig())
         assert abs(predict(model, [3.3]) - 7.25) < 1e-6
         assert report.epochs_run == 0
+        assert report.final_lambda == LAMBDA0
+        assert model.output_norm == (7.25, 1.0)
 
     def test_insufficient_records(self):
         with pytest.raises(InsufficientData):
@@ -203,7 +206,7 @@ class TestTrain:
 class TestSplit:
     def test_disjoint_and_covering(self):
         ids = [f"s{i:03d}" for i in range(40)]
-        splits = split_sessions(ids, (0.7, 0.15, 0.15), 3)
+        splits = split_sessions(ids, 3)
         merged = sorted(splits["train"] + splits["val"] + splits["test"])
         assert merged == sorted(ids)
         assert not (set(splits["train"]) & set(splits["val"]))
@@ -211,19 +214,15 @@ class TestSplit:
         assert not (set(splits["val"]) & set(splits["test"]))
 
     def test_fractions_near_70_15_15(self):
-        splits = split_sessions([f"s{i}" for i in range(100)], (0.7, 0.15, 0.15), 0)
+        splits = split_sessions([f"s{i}" for i in range(100)], 0)
         assert len(splits["train"]) == 70
         assert len(splits["val"]) == 15
         assert len(splits["test"]) == 15
 
     def test_seeded_and_stable(self):
         ids = [f"s{i:03d}" for i in range(30)]
-        assert split_sessions(ids, (0.7, 0.15, 0.15), 8) == split_sessions(
-            ids, (0.7, 0.15, 0.15), 8
-        )
-        assert split_sessions(ids, (0.7, 0.15, 0.15), 8) != split_sessions(
-            ids, (0.7, 0.15, 0.15), 9
-        )
+        assert split_sessions(ids, 8) == split_sessions(ids, 8)
+        assert split_sessions(ids, 8) != split_sessions(ids, 9)
 
 
 class TestPredict:

@@ -147,7 +147,7 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         save_corpus([make_record("a")], str(path))
         path.write_text(path.read_text().replace("cpu_util_pct", "mystery_counter"))
-        with pytest.raises(ParseError, match="mystery_counter"):
+        with pytest.raises(ParseError, match=r"^c\.jsonl:1: unknown metric name 'mystery_counter'$"):
             load_corpus(str(path))
 
     def test_duplicate_session_ids_rejected(self, tmp_path):
