@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Optional, Sequence
 
@@ -33,8 +32,10 @@ from .identify import (
     load_fingerprint_db,
     save_fingerprint_db,
 )
+from .parallel import parallel_map, usable_cpus
 
 CONFIG_ENV = "CLOUDPROPHET_CONFIG"
+JOBS_HELP = "processes to run in, this one included; outputs do not depend on it"
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -179,15 +180,6 @@ def _emit(args, payload: dict, csv_text: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
-def _parallel_map(fn, items: Sequence, jobs: int) -> list:
-    """``[fn(x) for x in items]``, spread over ``jobs`` worker processes
-    when jobs > 1; results keep the order of ``items``."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
-
-
 def _load_sessions(args):
     return tracemodel.load_corpus(args.corpus, format=args.format)
 
@@ -262,7 +254,7 @@ def _cmd_identify(args) -> int:
     one = partial(
         _identify_one, db=db, align=args.align, znorm=args.znorm, min_trace_len=args.min_trace_len
     )
-    rows = _parallel_map(one, records, args.jobs)
+    rows = parallel_map(one, records, args.jobs)
     _emit(args, {"results": rows})
     if not args.json:
         for row in rows:
@@ -291,7 +283,8 @@ def _cmd_train(args) -> int:
         profiles = {k: v for k, v in profiles.items() if k in wanted}
     cfg = neural.TrainConfig(max_epochs=args.max_epochs, rng_seed=args.seed)
     store = degrade.fit_models_for_corpus(
-        records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid
+        records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid,
+        jobs=args.jobs,
     )
     store.save(args.models)
     summary = {}
@@ -321,7 +314,7 @@ def _cmd_predict(args) -> int:
     db = load_fingerprint_db(args.db)
     store = degrade.ModelStore.load(args.models)
     one = partial(_predict_one, db=db, profiles=_load_profiles(args), store=store)
-    outcomes = _parallel_map(one, records, args.jobs)
+    outcomes = parallel_map(one, records, args.jobs)
     rows, reports, failures = [], [], []
     for record, (report, error) in zip(records, outcomes):
         if report is not None:
@@ -457,7 +450,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--znorm", action="store_true",
                    help="z-normalize traces before matching")
     p.add_argument("--min-trace-len", type=int, default=60, dest="min_trace_len")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("select-metrics", help="rank metrics by target correlation")
@@ -479,6 +472,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
                    dest="threshold_corr")
+    p.add_argument("--jobs", type=int, default=usable_cpus(),
+                   help=JOBS_HELP + " (default: the usable CPUs)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict performance degradation per session")
@@ -486,7 +481,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--db")
     p.add_argument("--models")
     p.add_argument("--profiles", default="builtin")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="run a reproducible experiment")

@@ -13,7 +13,7 @@ import enum
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,14 +31,18 @@ from .neural import (
     MlpModel,
     Purpose,
     TrainConfig,
+    best_fit,
     error_stats,
     features_from_traces,
-    hyper_search,
+    hyper_search,  # not called here; perfbench traces degrade.hyper_search by name
     load_model,
+    one_blas_thread,
     predict,
+    prepare,
     save_model,
-    train,  # unused here; perfbench traces degrade.train by name
+    train,
 )
+from .parallel import parallel_map
 from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
 from .tracemodel import MetricKind, MetricTrace, SessionRecord, read_json, write_json
 
@@ -221,45 +225,82 @@ def predict_degradation(
 # ---------------------------------------------------------------------------
 
 
+# Training in lanes pays only when the nets are big enough.  Measured on a
+# 2-vCPU guest, where two busy processes get about 1.5x one CPU: at a sum of
+# p**3 over the nets (p parameters each) of about 2e6, two lanes were 50-85 ms
+# slower than one; from 1.9e7 on they were faster.
+LANE_MIN_WORK = 1e7
+
+
+def _net_size(task) -> int:
+    """The parameter count of the net a ``_fit_one`` task trains."""
+    *_, cfg, prepared = task
+    dims = [len(prepared.in_norm[0]), *cfg.hidden_sizes, 1]
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _fit_one(task) -> tuple[MlpModel, FitReport]:
+    records, purpose, selection, cfg, prepared = task
+    return train(records, purpose, selection, cfg, prepared=prepared)
+
+
 def fit_models_for_corpus(
     records: Sequence[SessionRecord],
     profiles: Mapping[str, AppProfile],
     corr_threshold: float = DEFAULT_CORR_THRESHOLD,
     cfg: TrainConfig = TrainConfig(),
     hidden_grid: Optional[Sequence[tuple[int, ...]]] = None,
+    jobs: int = 1,
 ) -> ModelStore:
     """Train the per-application net sets from a labeled corpus.
 
     Each application trains only on its own sessions.  Variable-workload
     apps additionally get a workload net and a baseline net; the latter fits
     (workload -> performance) on the corpus's interference-free sessions.
-    Each net's widths are chosen by validation error over ``hidden_grid``,
-    which defaults to ``cfg.hidden_sizes`` alone.
+    Each net's widths are the ``best_fit`` over ``hidden_grid``, which
+    defaults to ``cfg.hidden_sizes`` alone.
+
+    Every (app, purpose, width) net is one task; the tasks run heaviest
+    first in up to ``jobs`` processes when the nets are big enough to pay
+    (LANE_MIN_WORK), with BLAS held at one thread.  The models do not depend
+    on ``jobs``.
     """
-    widths = hidden_grid or [cfg.hidden_sizes]
-    store = ModelStore()
+    widths = list(dict.fromkeys(tuple(w) for w in hidden_grid or [cfg.hidden_sizes]))
+    apps, tasks = [], []  # each net set's app; each (net set, width)'s train arguments
+
+    def search(app, recs, purpose, selection=None):
+        prepared = prepare(recs, purpose, selection, cfg)
+        apps.append(app)
+        tasks.extend((recs, purpose, selection, replace(cfg, hidden_sizes=hidden), prepared)
+                     for hidden in widths)
+
     for app in sorted(profiles):
-        profile = profiles[app]
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        perf_sel = rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold)
-        model, report = hyper_search(recs, Purpose.PERFORMANCE, cfg, widths, perf_sel)
-        store.add(app, model, report)
-
-        if profile.variable_workload:
-            wl_sel = rank_metrics(recs, app, Target.WORKLOAD, corr_threshold)
-            model, report = hyper_search(recs, Purpose.WORKLOAD, cfg, widths, wl_sel)
-            store.add(app, model, report)
-
+        search(app, recs, Purpose.PERFORMANCE,
+               rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold))
+        if profiles[app].variable_workload:
+            search(app, recs, Purpose.WORKLOAD,
+                   rank_metrics(recs, app, Target.WORKLOAD, corr_threshold))
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            model, report = hyper_search(iso, Purpose.BASELINE, cfg, widths)
-            store.add(app, model, report)
+            search(app, iso, Purpose.BASELINE)
+
+    # heaviest first, so that the lanes' snake order gives them even shares
+    order = sorted(range(len(tasks)), key=lambda i: -_net_size(tasks[i]))
+    lanes = jobs if sum(_net_size(task) ** 3 for task in tasks) > LANE_MIN_WORK else 1
+    with one_blas_thread():  # held once for every lane: forked workers inherit it
+        fits = parallel_map(_fit_one, [tasks[i] for i in order], lanes)
+    fits = [fit for _, fit in sorted(zip(order, fits))]
+
+    store = ModelStore()
+    for k, app in enumerate(apps):
+        store.add(app, *best_fit(fits[k * len(widths) : (k + 1) * len(widths)]))
     return store
 
 

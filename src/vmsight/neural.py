@@ -9,8 +9,14 @@ hidden layers use tanh, the output is affine.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import glob
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -286,7 +292,7 @@ def _design_matrix(records, purpose, input_metrics):
 
 
 @dataclass(frozen=True)
-class _Prepared:
+class Prepared:
     """What ``train`` derives from its records before the LM loop: the
     inputs, the split, the design matrices and their normalization.  It
     depends on the records, the purpose, the selection and cfg.rng_seed,
@@ -300,7 +306,7 @@ class _Prepared:
     out_std: float
 
 
-def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
+def prepare(records, purpose, selected_metrics, cfg) -> Prepared:
     records = list(records)
     if len(records) < 20:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
@@ -327,19 +333,55 @@ def _prepare(records, purpose, selected_metrics, cfg) -> _Prepared:
     in_mean = np.mean(x_train, axis=0)
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
-    return _Prepared(
+    return Prepared(
         input_metrics, splits, parts, (in_mean, in_std),
         float(np.mean(y_train)), float(np.std(y_train)),
     )
 
 
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None, with one notice on stderr, when numpy uses another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded: same file, same handle
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    print("vmsight: numpy's BLAS is not scipy-openblas; trained model bytes may "
+          "depend on the BLAS thread count", file=sys.stderr)
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread for the block, then restore the
+    previous count, also when the block raises.  A multithreaded J'J or
+    solve sums in an order that depends on the thread count, so this is what
+    makes trained model bytes independent of it."""
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    get, set_threads = api
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@one_blas_thread()
 def train(
     records: Sequence[SessionRecord],
     purpose: Purpose,
     selected_metrics: Optional[CorrelationReport] = None,
     cfg: TrainConfig = TrainConfig(),
     *,
-    prepared: Optional[_Prepared] = None,
+    prepared: Optional[Prepared] = None,
 ) -> tuple[MlpModel, FitReport]:
     """Fit one regressor with Levenberg-Marquardt updates on the MSE.
 
@@ -347,14 +389,16 @@ def train(
     LAMBDA_DOWN on accepted steps and grows by LAMBDA_UP on rejections.
     Training stops at cfg.max_epochs or after EARLY_STOP_PATIENCE epochs
     without validation improvement, and the best-validation weights are
-    returned.  Deterministic given cfg.rng_seed.
+    returned.  Deterministic given cfg.rng_seed, and, on numpy's bundled
+    OpenBLAS, independent of the BLAS thread count: the call holds BLAS at
+    one thread.
 
-    ``prepared`` is for hyper_search, which prepares the split and design
-    matrices once for every width it tries; it must come from ``_prepare``
+    ``prepared`` is for width searches, which prepare the split and design
+    matrices once for every width they try; it must come from ``prepare``
     on these same arguments.
     """
     if prepared is None:
-        prepared = _prepare(records, purpose, selected_metrics, cfg)
+        prepared = prepare(records, purpose, selected_metrics, cfg)
     input_metrics = prepared.input_metrics
     parts, splits = prepared.parts, prepared.splits
     in_mean, in_std = prepared.in_norm
@@ -454,6 +498,12 @@ def _build_report(model, parts, purpose, splits, epochs_run, final_lambda) -> Fi
     )
 
 
+def best_fit(fits: Sequence[tuple[MlpModel, FitReport]]) -> tuple[MlpModel, FitReport]:
+    """The (model, report) of ``fits`` with the best validation error; ties
+    go to the net with fewer parameters, then to the earlier one."""
+    return min(fits, key=lambda fit: (fit[1].errors["val"]["mean"], fit[0].parameter_count()))
+
+
 def hyper_search(
     records: Sequence[SessionRecord],
     purpose: Purpose,
@@ -462,24 +512,16 @@ def hyper_search(
     selected_metrics: Optional[CorrelationReport] = None,
 ) -> tuple[MlpModel, FitReport]:
     """Train ``cfg`` once per distinct hidden-width tuple in ``widths``, on
-    one shared split, and keep the net with the best validation error.
-
-    Ties go to the net with fewer parameters, then to the earlier width.
-    """
+    one shared split, and keep the ``best_fit`` of the nets."""
     widths = list(dict.fromkeys(tuple(w) for w in widths))
     if not widths:
         raise ConfigInvalid("hyperparameter grid is empty")
-    prepared = _prepare(records, purpose, selected_metrics, cfg)
-    best = None
-    for hidden in widths:
-        model, report = train(
-            records, purpose, selected_metrics, replace(cfg, hidden_sizes=hidden),
-            prepared=prepared,
-        )
-        key = (report.errors["val"]["mean"], model.parameter_count())
-        if best is None or key < best[0]:
-            best = (key, model, report)
-    return best[1], best[2]
+    prepared = prepare(records, purpose, selected_metrics, cfg)
+    return best_fit([
+        train(records, purpose, selected_metrics, replace(cfg, hidden_sizes=hidden),
+              prepared=prepared)
+        for hidden in widths
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,10 @@ def read_trace_csv(path: str) -> tuple[list[MetricKind], np.ndarray]:
     cols = lines[0].strip().split(",") if lines else []
     if len(cols) < 2 or cols[0] != "t":
         raise ParseError(f"{name}:1: header must be t,<metric>,...")
-    kinds = [metric_by_name(c) for c in cols[1:]]
+    try:
+        kinds = [metric_by_name(c) for c in cols[1:]]
+    except ParseError as exc:
+        raise ParseError(f"{name}:1: {exc}") from None
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()

@@ -12,8 +12,9 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vmsight import simgen, tracemodel
+from vmsight import degrade, simgen, tracemodel
 from vmsight.cli import main
+from vmsight.parallel import parallel_map
 
 MISSING = "/nonexistent/vmsight/corpus.jsonl"
 
@@ -704,6 +705,27 @@ class TestBadFiles:
 
 
 class TestDeterminism:
+    def test_train_jobs_writes_the_same_tree(self, capsys, workspace, monkeypatch):
+        lanes = []
+
+        def spy(fn, items, jobs):
+            lanes.append(jobs)
+            return parallel_map(fn, items, jobs)
+
+        monkeypatch.setattr(degrade, "parallel_map", spy)
+        trees = {}
+        for jobs in ("1", "2"):
+            models = workspace["root"] / f"models-jobs{jobs}"
+            code, _, err = run(capsys, "train", "--corpus", workspace["corpus"],
+                               "--profiles", workspace["profiles"], "--models", str(models),
+                               "--hidden-grid", "16,24", "--max-epochs", "5", "--jobs", jobs)
+            assert code == 0, err
+            trees[jobs] = {p.relative_to(models): p.read_bytes()
+                           for p in sorted(models.rglob("*.json"))}
+        # the grid's nets are big enough that --jobs 2 trains in two lanes
+        assert lanes == [1, 2]
+        assert len(trees["1"]) == 9 and trees["1"] == trees["2"]
+
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         for path in (a, b):
@@ -773,7 +795,7 @@ COMMANDS = {
     "select-metrics": (["select-metrics", "--app", "web_serving", *_INPUTS["corpus"]],
                        ["--seed", "--threshold-corr"]),
     "train": (["train", *_INPUTS["corpus"], *_INPUTS["models"]],
-              ["--seed", "--threshold-corr", "--hidden-grid", "--max-epochs"]),
+              ["--seed", "--threshold-corr", "--hidden-grid", "--max-epochs", "--jobs"]),
     "predict": (["predict", *_INPUTS["corpus"], *_INPUTS["db"], *_INPUTS["models"]],
                 ["--seed", "--jobs"]),
     **{

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from vmsight import neural
+import vmsight
+from vmsight import neural, simgen, tracemodel
 from vmsight.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -349,3 +355,51 @@ class TestModelIo:
         clone, _ = model_from_obj(model_to_obj(model, report))
         assert clone.input_metrics == model.input_metrics
         assert clone.output_norm == model.output_norm
+
+
+SCIPY_OPENBLAS = pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas",
+    reason="numpy's BLAS thread count is set through scipy-openblas only",
+)
+
+
+@SCIPY_OPENBLAS
+def test_one_blas_thread_restores_the_count_also_on_error():
+    get, set_threads = neural._blas_threads()
+    before = get()
+    set_threads(2)
+    try:
+        with pytest.raises(Diverged):
+            with neural.one_blas_thread():
+                assert get() == 1
+                raise Diverged("no accepted step")
+        assert get() == 2
+    finally:
+        set_threads(before)
+
+
+@SCIPY_OPENBLAS
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A 16-wide net of 129 parameters is past the sizes (97 for J'J, 113
+    for the solve) at which a 2-thread OpenBLAS sums in another order."""
+    cfg = simgen.ScenarioConfig(session_duration_s=60.0, rng_seed=1)
+    templates = simgen.default_templates()
+    corpus = str(tmp_path / "c.jsonl")
+    tracemodel.save_corpus(simgen.generate(cfg, templates, 120), corpus)
+    src = os.path.dirname(os.path.dirname(vmsight.__file__))
+    trees = []
+    for threads in ("1", "2"):
+        models = tmp_path / f"models-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "vmsight.cli", "train", "--corpus", corpus,
+             "--models", str(models), "--apps", "kv_store", "--hidden-grid", "16",
+             "--max-epochs", "10", "--jobs", "1"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        trees.append({p.relative_to(models): p.read_bytes() for p in models.rglob("*.json")})
+    (blob,) = trees[0].values()
+    assert neural.model_from_obj(json.loads(blob))[0].parameter_count() >= 113
+    assert trees[0] == trees[1]
+

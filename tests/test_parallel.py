@@ -1,0 +1,121 @@
+"""The package's one parallel map: lanes, order, errors, and where process
+pools and the BLAS thread setter may appear."""
+
+import ast
+import os
+from concurrent.futures import Future
+from pathlib import Path
+
+import pytest
+
+import vmsight
+from vmsight import parallel
+from vmsight.errors import Diverged
+from vmsight.parallel import parallel_map, snake_lanes
+
+
+def square(x):
+    return x * x
+
+
+def pid_of(_):
+    return os.getpid()
+
+
+def diverge_at(bad):
+    def fn(i):
+        if i in bad:
+            raise Diverged(f"item {i}")
+        return i
+
+    return fn
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submitted call at once, in this process."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("n_items, jobs", [(0, 3), (1, 4), (5, 1), (5, 2), (7, 3), (3, 500)])
+def test_snake_lanes_partition_the_items(n_items, jobs):
+    lanes = snake_lanes(n_items, jobs)
+    assert len(lanes) == max(1, min(jobs, n_items))
+    assert sorted(i for lane in lanes for i in lane) == list(range(n_items))
+    assert all(lane == sorted(lane) for lane in lanes)
+
+
+def test_snake_order_balances_a_heaviest_first_list():
+    assert snake_lanes(8, 3) == [[0, 5, 6], [1, 4, 7], [2, 3]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_results_keep_item_order(jobs):
+    items = list(range(11))
+    assert parallel_map(square, items, jobs) == [x * x for x in items]
+
+
+def test_caller_runs_lane_zero():
+    pids = parallel_map(pid_of, range(4), 2)
+    lanes = snake_lanes(4, 2)
+    assert {pids[i] for i in lanes[0]} == {os.getpid()}
+    assert os.getpid() not in {pids[i] for i in lanes[1]}
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 500, pytest.param(10**400, id="400-digits")])
+def test_workers_capped_at_items(monkeypatch, jobs):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+    InlinePool.made = []
+    assert parallel_map(square, range(3), jobs) == [0, 1, 4]
+    # one lane per item at most, and the caller's lane needs no worker
+    assert InlinePool.made == [min(jobs, 3) - 1]
+
+
+def test_worker_lane_divergence_reaches_caller_typed():
+    # lanes for 6 items and 2 jobs: [0, 3, 4] in the caller, [1, 2, 5] in a worker
+    with pytest.raises(Diverged, match="^item 5$"):
+        parallel_map(diverge_at({5}), range(6), 2)
+
+
+def test_first_failure_in_item_order_wins():
+    # the caller fails at item 4, the worker lane at item 2, which comes first
+    with pytest.raises(Diverged, match="^item 2$"):
+        parallel_map(diverge_at({2, 4}), range(6), 2)
+    with pytest.raises(Diverged, match="^item 3$"):
+        parallel_map(diverge_at({3, 5}), range(6), 2)
+
+
+@pytest.mark.parametrize("name, home", [
+    ("ProcessPoolExecutor", "parallel"),
+    ("scipy_openblas_set_num_threads64_", "neural"),
+])
+def test_one_module_names_it(name, home):
+    """Process pools are made in parallel.py alone, and the BLAS thread
+    count is set in neural.py alone."""
+    users = set()
+    for path in sorted(Path(vmsight.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+                or (isinstance(node, ast.Constant) and node.value == name)
+            ):
+                users.add(path.stem)
+    assert users == {home}

@@ -397,6 +397,14 @@ class TestCsv:
         with pytest.raises(ParseError, match="a.csv:4"):
             load_corpus(str(out), format="csv")
 
+    def test_csv_unknown_metric_names_file_and_header(self, tmp_path):
+        out = tmp_path / "corpus"
+        save_corpus([make_record("a", n=5)], str(out), format="csv")
+        csv = out / "a.csv"
+        csv.write_text(csv.read_text().replace("cpu_util_pct", "mystery_counter"))
+        with pytest.raises(ParseError, match=r"^a\.csv:1: unknown metric name 'mystery_counter'$"):
+            load_corpus(str(out), format="csv")
+
     @pytest.mark.parametrize("field", ["performance", "period"])
     def test_non_finite_number_is_io_error_before_any_file(self, tmp_path, field):
         # "a" sorts first, so a writer that checked record by record would
