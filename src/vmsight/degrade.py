@@ -13,7 +13,7 @@ import enum
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,8 +34,10 @@ from .neural import (
     best_fit,
     error_stats,
     features_from_traces,
+    grid_configs,
     hyper_search,  # not called here; perfbench traces degrade.hyper_search by name
     load_model,
+    net_size,
     one_blas_thread,
     predict,
     prepare,
@@ -232,16 +234,8 @@ def predict_degradation(
 LANE_MIN_WORK = 1e7
 
 
-def _net_size(task) -> int:
-    """The parameter count of the net a ``_fit_one`` task trains."""
-    *_, cfg, prepared = task
-    dims = [len(prepared.in_norm[0]), *cfg.hidden_sizes, 1]
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-
-
 def _fit_one(task) -> tuple[MlpModel, FitReport]:
-    records, purpose, selection, cfg, prepared = task
-    return train(records, purpose, selection, cfg, prepared=prepared)
+    return train(*task)
 
 
 def fit_models_for_corpus(
@@ -265,14 +259,13 @@ def fit_models_for_corpus(
     (LANE_MIN_WORK), with BLAS held at one thread.  The models do not depend
     on ``jobs``.
     """
-    widths = list(dict.fromkeys(tuple(w) for w in hidden_grid or [cfg.hidden_sizes]))
-    apps, tasks = [], []  # each net set's app; each (net set, width)'s train arguments
+    configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
+    apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
 
     def search(app, recs, purpose, selection=None):
-        prepared = prepare(recs, purpose, selection, cfg)
+        problem = prepare(recs, purpose, selection, cfg)
         apps.append(app)
-        tasks.extend((recs, purpose, selection, replace(cfg, hidden_sizes=hidden), prepared)
-                     for hidden in widths)
+        tasks.extend((problem, c) for c in configs)
 
     for app in sorted(profiles):
         recs = [r for r in records if r.app_label == app]
@@ -292,15 +285,16 @@ def fit_models_for_corpus(
             search(app, iso, Purpose.BASELINE)
 
     # heaviest first, so that the lanes' snake order gives them even shares
-    order = sorted(range(len(tasks)), key=lambda i: -_net_size(tasks[i]))
-    lanes = jobs if sum(_net_size(task) ** 3 for task in tasks) > LANE_MIN_WORK else 1
+    sizes = [net_size(*task) for task in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -sizes[i])
+    lanes = jobs if sum(p ** 3 for p in sizes) > LANE_MIN_WORK else 1
     with one_blas_thread():  # held once for every lane: forked workers inherit it
         fits = parallel_map(_fit_one, [tasks[i] for i in order], lanes)
     fits = [fit for _, fit in sorted(zip(order, fits))]
 
     store = ModelStore()
     for k, app in enumerate(apps):
-        store.add(app, *best_fit(fits[k * len(widths) : (k + 1) * len(widths)]))
+        store.add(app, *best_fit(fits[k * len(configs) : (k + 1) * len(configs)]))
     return store
 
 

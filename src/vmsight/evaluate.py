@@ -20,7 +20,7 @@ import numpy as np
 from .degrade import AppProfile, ModelStore, predict_degradation
 from .errors import ConfigInvalid, InsufficientData
 from .identify import _decide, _rows, build_fingerprint_db
-from .neural import Purpose, TrainConfig, features_from_traces, predict, train
+from .neural import Purpose, TrainConfig, features_from_traces, predict, prepare, train
 from .select import Target, rank_metrics
 from .simgen import AppTemplate, ScenarioConfig, generate
 from .tracemodel import SessionRecord, metric_by_name
@@ -92,7 +92,8 @@ def run_ablation_dtw(
         for c in counts
     ]
     biggest = dbs[-1]
-    held = [r for r in labeled if r.session_id not in set(biggest.source_session_ids)]
+    references = set(biggest.source_session_ids)
+    held = [r for r in labeled if r.session_id not in references]
     if len(held) < min_test_sessions:
         raise InsufficientData(
             f"only {len(held)} held-out sessions, need >= {min_test_sessions}"
@@ -156,7 +157,7 @@ def run_sampling_tradeoff(
         corpus = generate(point_cfg, templates, n_sessions)
         recs = [r for r in corpus if r.app_label == app]
         selection = rank_metrics(recs, app, Target.PERFORMANCE)
-        _, report = train(recs, Purpose.PERFORMANCE, selection, train_cfg)
+        _, report = train(prepare(recs, Purpose.PERFORMANCE, selection, train_cfg), train_cfg)
         for split in errors:
             errors[split].append(report.errors[split]["mean"])
     test = errors["test"]

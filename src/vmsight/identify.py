@@ -328,7 +328,7 @@ def _decide(rows: Mapping[MetricKind, np.ndarray], db: FingerprintDb) -> Identif
 def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
     """Write the whole database to <path>/db.json in one atomic replace, so
     a failed save leaves the previous database in place.  Samples are
-    written with json's repr and load back bit for bit."""
+    written unindented, with json's repr, and load back bit for bit."""
     entries = [
         {
             "app_label": entry.app_label,
@@ -345,7 +345,7 @@ def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
         "source_session_ids": list(db.source_session_ids),
         "entries": entries,
     }
-    write_json(os.path.join(path, "db.json"), index)
+    write_json(os.path.join(path, "db.json"), index, indent=None)
 
 
 def load_fingerprint_db(path: str) -> FingerprintDb:

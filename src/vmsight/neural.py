@@ -293,11 +293,13 @@ def _design_matrix(records, purpose, input_metrics):
 
 @dataclass(frozen=True)
 class Prepared:
-    """What ``train`` derives from its records before the LM loop: the
-    inputs, the split, the design matrices and their normalization.  It
-    depends on the records, the purpose, the selection and cfg.rng_seed,
-    never on the net's widths."""
+    """One training problem, the input of ``train``: the purpose, the input
+    metrics, the seeded split, its design matrices and their normalization.
+    ``prepare`` builds it from records, a purpose, a selection and
+    cfg.rng_seed, never from the net's widths, so a width search trains
+    every width on one problem."""
 
+    purpose: Purpose
     input_metrics: tuple[MetricKind, ...]
     splits: dict[str, tuple[str, ...]]
     parts: dict[str, tuple[np.ndarray, np.ndarray]]
@@ -334,9 +336,30 @@ def prepare(records, purpose, selected_metrics, cfg) -> Prepared:
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
     return Prepared(
-        input_metrics, splits, parts, (in_mean, in_std),
+        purpose, input_metrics, splits, parts, (in_mean, in_std),
         float(np.mean(y_train)), float(np.std(y_train)),
     )
+
+
+def _net_dims(problem: Prepared, cfg: TrainConfig) -> list[int]:
+    """The layer widths of the net ``train(problem, cfg)`` fits."""
+    return [len(problem.in_norm[0]), *cfg.hidden_sizes, 1]
+
+
+def net_size(problem: Prepared, cfg: TrainConfig) -> int:
+    """The parameter count of the net ``train(problem, cfg)`` fits."""
+    dims = _net_dims(problem, cfg)
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def grid_configs(cfg: TrainConfig, widths: Sequence[tuple[int, ...]]) -> list[TrainConfig]:
+    """``cfg`` once per distinct hidden-width tuple of ``widths``, in
+    first-seen order: a repeated width would train the same net again.
+    ConfigInvalid on an empty grid."""
+    configs = [replace(cfg, hidden_sizes=h) for h in dict.fromkeys(tuple(w) for w in widths)]
+    if not configs:
+        raise ConfigInvalid("hyperparameter grid is empty")
+    return configs
 
 
 @functools.cache
@@ -375,37 +398,23 @@ def one_blas_thread():
 
 
 @one_blas_thread()
-def train(
-    records: Sequence[SessionRecord],
-    purpose: Purpose,
-    selected_metrics: Optional[CorrelationReport] = None,
-    cfg: TrainConfig = TrainConfig(),
-    *,
-    prepared: Optional[Prepared] = None,
-) -> tuple[MlpModel, FitReport]:
-    """Fit one regressor with Levenberg-Marquardt updates on the MSE.
+def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
+    """Fit one regressor of cfg's widths to ``problem``, a ``prepare``
+    result, with Levenberg-Marquardt updates on the MSE.
 
     Updates solve (J'J + lambda*I) delta = J'r; lambda shrinks by
     LAMBDA_DOWN on accepted steps and grows by LAMBDA_UP on rejections.
     Training stops at cfg.max_epochs or after EARLY_STOP_PATIENCE epochs
     without validation improvement, and the best-validation weights are
-    returned.  Deterministic given cfg.rng_seed, and, on numpy's bundled
-    OpenBLAS, independent of the BLAS thread count: the call holds BLAS at
-    one thread.
-
-    ``prepared`` is for width searches, which prepare the split and design
-    matrices once for every width they try; it must come from ``prepare``
-    on these same arguments.
+    returned.  Deterministic given the problem and cfg.rng_seed, and, on
+    numpy's bundled OpenBLAS, independent of the BLAS thread count: the call
+    holds BLAS at one thread.
     """
-    if prepared is None:
-        prepared = prepare(records, purpose, selected_metrics, cfg)
-    input_metrics = prepared.input_metrics
-    parts, splits = prepared.parts, prepared.splits
-    in_mean, in_std = prepared.in_norm
-    out_mean, out_std = prepared.out_mean, prepared.out_std
-    x_train, y_train = parts["train"]
+    in_mean, in_std = problem.in_norm
+    out_mean, out_std = problem.out_mean, problem.out_std
+    x_train, y_train = problem.parts["train"]
 
-    dims = [x_train.shape[1], *cfg.hidden_sizes, 1]
+    dims = _net_dims(problem, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     layers = _init_layers(rng, dims)
     if out_std == 0.0:
@@ -415,7 +424,7 @@ def train(
         layers[-1] = (np.zeros_like(w_last), np.zeros_like(b_last))
         out_std = 1.0
 
-    x_val, y_val = parts["val"]
+    x_val, y_val = problem.parts["val"]
     xt, yt = (x_train - in_mean) / in_std, (y_train - out_mean) / out_std
     xv = (x_val - in_mean) / in_std
 
@@ -473,28 +482,24 @@ def train(
                 break
 
     model = MlpModel(
-        purpose=purpose,
-        input_metrics=input_metrics,
+        purpose=problem.purpose,
+        input_metrics=problem.input_metrics,
         layers=tuple((w.copy(), b.copy()) for w, b in _unpack(best_theta, dims)),
         input_norm=(in_mean, in_std),
         output_norm=(out_mean, out_std),
         rng_seed=cfg.rng_seed,
     )
-    report = _build_report(model, parts, purpose, splits, epochs_run, lam)
-    return model, report
+    return model, _build_report(model, problem, epochs_run, lam)
 
 
-def _build_report(model, parts, purpose, splits, epochs_run, final_lambda) -> FitReport:
-    errors = {}
-    for name in ("train", "val", "test"):
-        x, y = parts[name]
-        errors[name] = error_stats(predict_batch(model, x), y)
+def _build_report(model, problem, epochs_run, final_lambda) -> FitReport:
     return FitReport(
-        purpose=purpose,
-        errors=errors,
+        purpose=problem.purpose,
+        errors={name: error_stats(predict_batch(model, x), y)
+                for name, (x, y) in problem.parts.items()},
         epochs_run=epochs_run,
         final_lambda=float(final_lambda),
-        split_ids={k: tuple(v) for k, v in splits.items()},
+        split_ids=dict(problem.splits),
     )
 
 
@@ -511,17 +516,11 @@ def hyper_search(
     widths: Sequence[tuple[int, ...]],
     selected_metrics: Optional[CorrelationReport] = None,
 ) -> tuple[MlpModel, FitReport]:
-    """Train ``cfg`` once per distinct hidden-width tuple in ``widths``, on
-    one shared split, and keep the ``best_fit`` of the nets."""
-    widths = list(dict.fromkeys(tuple(w) for w in widths))
-    if not widths:
-        raise ConfigInvalid("hyperparameter grid is empty")
-    prepared = prepare(records, purpose, selected_metrics, cfg)
-    return best_fit([
-        train(records, purpose, selected_metrics, replace(cfg, hidden_sizes=hidden),
-              prepared=prepared)
-        for hidden in widths
-    ])
+    """Train each of ``grid_configs(cfg, widths)`` on one prepared problem
+    and keep the ``best_fit`` of the nets."""
+    configs = grid_configs(cfg, widths)
+    problem = prepare(records, purpose, selected_metrics, cfg)
+    return best_fit([train(problem, c) for c in configs])
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,10 @@ def atomic_write(path: str) -> Iterator[IO[str]]:
         raise
 
 
-def write_json(path: str, obj) -> None:
-    """Write ``obj`` as key-sorted, indented JSON through atomic_write."""
+def write_json(path: str, obj, indent: Optional[int] = 2) -> None:
+    """Write ``obj`` as key-sorted JSON through atomic_write; ``indent=None`` writes one line."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent))
         fh.write("\n")
 
 

@@ -19,7 +19,8 @@ from vmsight.errors import (
     UnknownApplication,
 )
 from vmsight.identify import build_fingerprint_db
-from vmsight.neural import MlpModel, Purpose
+from vmsight.neural import MlpModel, Purpose, TrainConfig, hyper_search, model_to_obj
+from vmsight.select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
 from vmsight.simgen import (
     ScenarioConfig,
     generate_isolated,
@@ -234,8 +235,6 @@ class TestModelStoreIo:
 
 class TestPipelineIsolation:
     def test_training_one_app_ignores_others(self, small_corpus, profiles):
-        from vmsight.neural import TrainConfig
-
         cfg = TrainConfig(rng_seed=0, max_epochs=60)
         only = {"kv_store": profiles["kv_store"]}
         full = fit_models_for_corpus(small_corpus, only, cfg=cfg)
@@ -245,6 +244,20 @@ class TestPipelineIsolation:
         b = alone.get("kv_store", Purpose.PERFORMANCE)
         for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
+    def test_corpus_fit_keeps_the_width_search_winner(self, small_corpus, profiles):
+        # a multi-width grid with a repeated width: each net set's slice of
+        # the fit's results must be the nets the search trains for that set
+        grid = [(4,), (8,), (4,), (3, 2)]
+        cfg = TrainConfig(rng_seed=0, max_epochs=30)
+        store = fit_models_for_corpus(small_corpus, profiles, cfg=cfg, hidden_grid=grid)
+        for app in sorted(profiles):
+            recs = [r for r in small_corpus if r.app_label == app]
+            sel = rank_metrics(recs, app, Target.PERFORMANCE, DEFAULT_CORR_THRESHOLD)
+            searched = hyper_search(recs, Purpose.PERFORMANCE, cfg, grid, sel)
+            stored = (store.get(app, Purpose.PERFORMANCE), store.report(app, Purpose.PERFORMANCE))
+            assert model_to_obj(*stored) == model_to_obj(*searched), app
 
 
 class TestEvaluateDegradation:
@@ -273,8 +286,6 @@ class TestEvaluateDegradation:
             assert row["mean_pct"] <= bound, row
 
     def test_partial_tree_scores_its_apps_only(self, small_corpus, profiles, templates):
-        from vmsight.neural import TrainConfig
-
         only = {"kv_store": profiles["kv_store"]}
         store = fit_models_for_corpus(small_corpus, only, cfg=TrainConfig(max_epochs=60))
         truth = {r.session_id: ground_truth_degradation(r, templates) for r in small_corpus}

@@ -28,6 +28,7 @@ from vmsight.neural import (
     model_from_obj,
     model_to_obj,
     predict,
+    prepare,
     save_model,
     split_sessions,
     train,
@@ -57,6 +58,10 @@ def linear_records(n=60, slope=2.0, intercept=1.0, seed=1, noise=0.0):
 
 def selection(records):
     return rank_metrics(records, "toy", Target.PERFORMANCE, 0.3)
+
+
+def fit(records, purpose, selected_metrics, cfg):
+    return train(prepare(records, purpose, selected_metrics, cfg), cfg)
 
 
 def finite_difference_jacobian(theta, dims, x, y, eps=1e-6):
@@ -90,14 +95,14 @@ class TestJacobian:
 class TestTrain:
     def test_linear_target_under_half_percent(self):
         records = linear_records()
-        model, report = train(
+        model, report = fit(
             records, Purpose.PERFORMANCE, selection(records), TrainConfig(hidden_sizes=(4,))
         )
         assert report.errors["test"]["mean"] < 0.5
 
     def test_predict_known_point(self):
         records = linear_records()
-        model, _ = train(
+        model, _ = fit(
             records, Purpose.PERFORMANCE, selection(records), TrainConfig(hidden_sizes=(4,))
         )
         assert predict(model, [5.0]) == pytest.approx(11.0, rel=0.005)
@@ -113,7 +118,7 @@ class TestTrain:
             )
             for i in range(25)
         ]
-        model, report = train(records, Purpose.BASELINE, None, TrainConfig())
+        model, report = fit(records, Purpose.BASELINE, None, TrainConfig())
         assert abs(predict(model, [3.3]) - 7.25) < 1e-6
         assert report.epochs_run == 0
         assert report.final_lambda == LAMBDA0
@@ -121,13 +126,13 @@ class TestTrain:
 
     def test_insufficient_records(self):
         with pytest.raises(InsufficientData):
-            train(linear_records(n=10), Purpose.PERFORMANCE, None, TrainConfig())
+            fit(linear_records(n=10), Purpose.PERFORMANCE, None, TrainConfig())
 
     def test_deterministic_given_seed(self):
         records = linear_records(noise=0.3)
         cfg = TrainConfig(hidden_sizes=(6,), rng_seed=5)
-        m1, r1 = train(records, Purpose.PERFORMANCE, selection(records), cfg)
-        m2, r2 = train(records, Purpose.PERFORMANCE, selection(records), cfg)
+        m1, r1 = fit(records, Purpose.PERFORMANCE, selection(records), cfg)
+        m2, r2 = fit(records, Purpose.PERFORMANCE, selection(records), cfg)
         for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert r1.errors == r2.errors
@@ -136,14 +141,14 @@ class TestTrain:
         records = linear_records()
         monkeypatch.setattr(neural, "LAMBDA0", 5e12)
         with pytest.raises(Diverged):
-            train(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
+            fit(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
 
     def test_corrupting_test_targets_changes_nothing(self):
         # test rows must never influence the weights
         records = linear_records(noise=0.5)
         cfg = TrainConfig(hidden_sizes=(4,), rng_seed=2)
         sel = selection(records)
-        model_a, report_a = train(records, Purpose.PERFORMANCE, sel, cfg)
+        model_a, report_a = fit(records, Purpose.PERFORMANCE, sel, cfg)
         test_ids = set(report_a.split_ids["test"])
         corrupted = [
             SessionRecord(
@@ -155,7 +160,7 @@ class TestTrain:
             )
             for r in records
         ]
-        model_b, _ = train(corrupted, Purpose.PERFORMANCE, sel, cfg)
+        model_b, _ = fit(corrupted, Purpose.PERFORMANCE, sel, cfg)
         for (w1, b1), (w2, b2) in zip(model_a.layers, model_b.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
@@ -163,7 +168,7 @@ class TestTrain:
         records = linear_records(noise=0.5)
         cfg = TrainConfig(hidden_sizes=(4,), rng_seed=2)
         sel = selection(records)
-        model_a, report_a = train(records, Purpose.PERFORMANCE, sel, cfg)
+        model_a, report_a = fit(records, Purpose.PERFORMANCE, sel, cfg)
         train_ids = set(report_a.split_ids["train"])
         corrupted = [
             SessionRecord(
@@ -175,7 +180,7 @@ class TestTrain:
             )
             for r in records
         ]
-        model_b, _ = train(corrupted, Purpose.PERFORMANCE, sel, cfg)
+        model_b, _ = fit(corrupted, Purpose.PERFORMANCE, sel, cfg)
         assert any(
             not np.array_equal(w1, w2)
             for (w1, _), (w2, _) in zip(model_a.layers, model_b.layers)
@@ -203,8 +208,8 @@ class TestTrain:
                 )
             )
         cfg = TrainConfig(hidden_sizes=(6,), rng_seed=4, max_epochs=60)
-        m1, _ = train(records, Purpose.PERFORMANCE, selection(records), cfg)
-        m2, _ = train(mapped, Purpose.PERFORMANCE, selection(mapped), cfg)
+        m1, _ = fit(records, Purpose.PERFORMANCE, selection(records), cfg)
+        m2, _ = fit(mapped, Purpose.PERFORMANCE, selection(mapped), cfg)
         for q in (3.0, 17.0, 40.0):
             assert predict(m1, [q]) == pytest.approx(predict(m2, [2.0 * q + 1.0]), abs=1e-6)
 
@@ -266,25 +271,18 @@ class TestPredict:
 
 
 class TestHyperSearch:
-    def test_degenerate_grid_equals_train(self):
-        records = linear_records(noise=0.2)
-        cfg = TrainConfig(hidden_sizes=(4,), rng_seed=1)
-        sel = selection(records)
-        m1, r1 = hyper_search(records, Purpose.PERFORMANCE, cfg, [cfg.hidden_sizes], sel)
-        m2, r2 = train(records, Purpose.PERFORMANCE, sel, cfg)
-        for (w1, _), (w2, _) in zip(m1.layers, m2.layers):
-            assert np.array_equal(w1, w2)
-        assert r1.errors == r2.errors
-
-    @pytest.mark.parametrize("purpose, target", [
-        (Purpose.PERFORMANCE, Target.PERFORMANCE), (Purpose.WORKLOAD, Target.WORKLOAD),
+    @pytest.mark.parametrize("purpose, target, cfg", [
+        (Purpose.PERFORMANCE, Target.PERFORMANCE,
+         TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)),
+        (Purpose.WORKLOAD, Target.WORKLOAD,
+         TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)),
+        (Purpose.PERFORMANCE, Target.PERFORMANCE, TrainConfig(hidden_sizes=(4,), rng_seed=1)),
     ])
-    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target):
+    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target, cfg):
         records = linear_records(noise=0.2)
-        cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
         sel = rank_metrics(records, "toy", target, 0.3)
         searched = hyper_search(records, purpose, cfg, [cfg.hidden_sizes], sel)
-        trained = train(records, purpose, sel, cfg)
+        trained = fit(records, purpose, sel, cfg)
         assert model_to_obj(*searched) == model_to_obj(*trained)
 
     def test_wider_net_wins_nonlinear_target(self):
@@ -306,7 +304,7 @@ class TestHyperSearch:
         best_model, best_report = hyper_search(
             records, Purpose.PERFORMANCE, cfg, [(2,), (8,)], sel
         )
-        small, small_report = train(records, Purpose.PERFORMANCE, sel, cfg)
+        small, small_report = fit(records, Purpose.PERFORMANCE, sel, cfg)
         assert best_model.layers[0][0].shape[0] == 8
         assert best_report.errors["val"]["mean"] <= small_report.errors["val"]["mean"]
 
@@ -321,7 +319,7 @@ class TestHyperSearch:
         calls = []
 
         def counting_train(*args, **kwargs):
-            calls.append(args[3].hidden_sizes)
+            calls.append(args[1].hidden_sizes)
             return train(*args, **kwargs)
 
         monkeypatch.setattr(neural, "train", counting_train)
@@ -334,7 +332,7 @@ class TestHyperSearch:
 class TestModelIo:
     def test_save_load_bit_stable(self, tmp_path):
         records = linear_records(noise=0.2)
-        model, report = train(
+        model, report = fit(
             records, Purpose.PERFORMANCE, selection(records), TrainConfig(hidden_sizes=(4,))
         )
         path = tmp_path / "m.json"
@@ -349,7 +347,7 @@ class TestModelIo:
 
     def test_roundtrip_through_obj(self):
         records = linear_records()
-        model, report = train(
+        model, report = fit(
             records, Purpose.PERFORMANCE, selection(records), TrainConfig(hidden_sizes=(3,))
         )
         clone, _ = model_from_obj(model_to_obj(model, report))
