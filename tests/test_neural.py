@@ -271,15 +271,22 @@ class TestPredict:
 
 
 class TestHyperSearch:
-    @pytest.mark.parametrize("purpose, target, cfg", [
-        (Purpose.PERFORMANCE, Target.PERFORMANCE,
-         TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)),
-        (Purpose.WORKLOAD, Target.WORKLOAD,
-         TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)),
-        (Purpose.PERFORMANCE, Target.PERFORMANCE, TrainConfig(hidden_sizes=(4,), rng_seed=1)),
-    ])
-    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target, cfg):
+    def test_degenerate_grid_equals_train(self):
         records = linear_records(noise=0.2)
+        cfg = TrainConfig(hidden_sizes=(4,), rng_seed=1)
+        sel = selection(records)
+        m1, r1 = hyper_search(records, Purpose.PERFORMANCE, cfg, [cfg.hidden_sizes], sel)
+        m2, r2 = fit(records, Purpose.PERFORMANCE, sel, cfg)
+        for (w1, _), (w2, _) in zip(m1.layers, m2.layers):
+            assert np.array_equal(w1, w2)
+        assert r1.errors == r2.errors
+
+    @pytest.mark.parametrize("purpose, target", [
+        (Purpose.PERFORMANCE, Target.PERFORMANCE), (Purpose.WORKLOAD, Target.WORKLOAD),
+    ])
+    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target):
+        records = linear_records(noise=0.2)
+        cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
         sel = rank_metrics(records, "toy", target, 0.3)
         searched = hyper_search(records, purpose, cfg, [cfg.hidden_sizes], sel)
         trained = fit(records, purpose, sel, cfg)
