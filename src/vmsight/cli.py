@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 on a typed domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import degrade, evaluate, neural, select, simgen, tracemodel
-from .errors import ConfigInvalid, IoError, MissingModel, MissingProfile, ParseError
-from .errors import UnknownApplication, VmsightError
+from .errors import ConfigInvalid, IoError, MissingModel, MissingProfile, NoUsableMetrics
+from .errors import ParseError, PeriodMismatch, TooShort, UnknownApplication, VmsightError
 from .identify import (
     DEFAULT_DISTANCE_THRESHOLD,
     DEFAULT_FINGERPRINT_METRICS,
@@ -243,8 +244,19 @@ def _cmd_fingerprint(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming(session_id: str):
+    """Re-raise an identification error of one session's traces, which
+    fails the whole batch, with the session's id in front of its message."""
+    try:
+        yield
+    except (NoUsableMetrics, TooShort, PeriodMismatch) as exc:
+        raise type(exc)(f"session {session_id}: {exc}") from None
+
+
 def _identify_one(record, db, **options):
-    result = identify_session(record.traces, db, **options)
+    with _naming(record.session_id):
+        result = identify_session(record.traces, db, **options)
     return {"session_id": record.session_id, **result.to_obj()}
 
 
@@ -301,9 +313,10 @@ def _cmd_train(args) -> int:
 def _predict_one(record, db, profiles, store):
     """A session's degradation report, or the error that leaves it without one."""
     try:
-        report = degrade.predict_degradation(
-            record.traces, db, profiles, store, session_id=record.session_id
-        )
+        with _naming(record.session_id):
+            report = degrade.predict_degradation(
+                record.traces, db, profiles, store, session_id=record.session_id
+            )
         return report, None
     except (UnknownApplication, MissingProfile, MissingModel) as exc:
         return None, exc
@@ -369,7 +382,7 @@ def _cmd_evaluate(args) -> int:
         records = _load_sessions(args)
         store = degrade.ModelStore.load(args.models)
         profiles = _load_profiles(args)
-        templates = simgen.default_templates(amplitude_gain=args.amp_gain)
+        templates = simgen.default_templates()
         truth = {
             r.session_id: simgen.ground_truth_degradation(r, templates)
             for r in records
@@ -414,7 +427,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="write JSON output to this path")
         p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON on stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="generate a synthetic colocated-VM corpus")
     p.add_argument("--out", help="corpus file (jsonl) or directory (csv) to write")
@@ -436,7 +448,9 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fingerprint", help="build a fingerprint database")
-    common(p)
+    p.add_argument("--corpus", help="corpus file or directory")
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    p.add_argument("--out", help="fingerprint database directory to write")
     p.add_argument("--metrics", default=",".join(DEFAULT_FINGERPRINT_METRICS))
     p.add_argument("--refs-per-app", type=int, default=4)
     p.add_argument("--threshold", type=float, default=DEFAULT_DISTANCE_THRESHOLD)
@@ -464,6 +478,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     # no abbreviations: a bare --hidden would otherwise mean --hidden-grid
     p = sub.add_parser("train", help="train per-application prediction nets", allow_abbrev=False)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profiles", default="builtin", help="profiles JSON or 'builtin'")
     p.add_argument("--models", help="output directory for model files")
     p.add_argument("--apps", help="comma-separated subset of apps")
@@ -486,6 +501,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run a reproducible experiment")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--experiment", required=True,
                    choices=["ablation", "tradeoff", "timing", "error-table"])
     p.add_argument("--models")
@@ -497,7 +513,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=float, default=300.0)
     p.add_argument("--queries", type=int, default=2000)
     p.add_argument("--app", default="data_serving")
-    p.add_argument("--amp-gain", type=float, default=1.0)
     p.set_defaults(func=_cmd_evaluate)
 
     for p in sub.choices.values():  # after add_argument, so a config value replaces its default

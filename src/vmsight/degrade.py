@@ -189,22 +189,21 @@ def predict_degradation(
         if db is None:
             raise MissingModel("identification requires a fingerprint database")
         label = identify(traces, db).label
+    where = f"session {session_id or '<unnamed>'}"
     if label == UNKNOWN:
-        raise UnknownApplication(
-            f"session {session_id or '<unnamed>'} matches no fingerprinted application"
-        )
+        raise UnknownApplication(f"{where} matches no fingerprinted application")
     profile = profiles.get(label)
     if profile is None:
         raise MissingProfile(f"no application profile for {label!r}")
 
     perf_model = models.get(label, Purpose.PERFORMANCE)
-    perf = predict(perf_model, features_from_traces(traces, perf_model.input_metrics))
+    perf = predict(perf_model, features_from_traces(traces, perf_model.input_metrics, where))
 
     workload = None
     if profile.variable_workload:
         wl_model = models.get(label, Purpose.WORKLOAD)
         base_model = models.get(label, Purpose.BASELINE)
-        workload = predict(wl_model, features_from_traces(traces, wl_model.input_metrics))
+        workload = predict(wl_model, features_from_traces(traces, wl_model.input_metrics, where))
         base = predict(base_model, [workload])
         lo, hi = profile.baseline_range
         base = min(hi, max(lo, base))  # clamp away net extrapolation artifacts

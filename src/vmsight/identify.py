@@ -11,6 +11,7 @@ rejects sessions that resemble no known application.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -28,6 +29,7 @@ from .tracemodel import (
     MetricKind,
     MetricTrace,
     SessionRecord,
+    _num,
     _samples,
     fmt,
     metric_by_name,
@@ -141,11 +143,12 @@ class FingerprintDb:
     source_session_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.distance_threshold > 0):
-            raise ValueError("distance_threshold must be positive")
+        # an infinite threshold would never reject a session
+        if not (0 < self.distance_threshold < math.inf):
+            raise ValueError("distance_threshold must be positive and finite")
         for name, value in self.metric_thresholds.items():
-            if not (value > 0):
-                raise ValueError(f"threshold for {name} must be positive")
+            if not (0 < value < math.inf):
+                raise ValueError(f"threshold for {name} must be positive and finite")
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("fingerprint database needs at least one entry")
@@ -289,7 +292,7 @@ def _rows(traces, db, align="dtw", znorm=False, min_trace_len=None) -> dict[Metr
     )
     if not usable:
         raise NoUsableMetrics(
-            f"session shares no metric with the database ({sorted(k.name for k in db.metrics_used)})"
+            f"no trace of a database metric ({sorted(k.name for k in db.metrics_used)})"
         )
     if min_trace_len is not None:
         usable = [k for k in usable if len(traces[k]) >= min_trace_len]
@@ -371,5 +374,5 @@ def _db_from_index(index: Mapping) -> FingerprintDb:
 def _entry(i: int, item: Mapping) -> FingerprintEntry:
     kind = metric_by_name(item["metric"])
     samples = _samples(item["samples"], f"entry {i}")
-    trace = MetricTrace(kind, samples, period_s=float(item["period_s"]))
+    trace = MetricTrace(kind, samples, period_s=_num(item["period_s"], f"entry {i}: period_s"))
     return FingerprintEntry(item["app_label"], kind, trace)

@@ -114,10 +114,10 @@ class MlpModel:
         mean, std = (np.asarray(v, dtype=float) for v in self.input_norm)
         if mean.shape != (self.input_dim,) or std.shape != (self.input_dim,):
             raise ValueError("input_norm needs one (mean, std) pair per input dimension")
-        if np.any(std <= 0):
-            raise ValueError("input_norm std must be positive")
-        if not (self.output_norm[1] > 0):
-            raise ValueError("output_norm std must be positive")
+        if not (np.all(np.isfinite(mean)) and np.all((0 < std) & (std < np.inf))):
+            raise ValueError("input_norm must be finite, with a positive std")
+        if not (math.isfinite(self.output_norm[0]) and 0 < self.output_norm[1] < math.inf):
+            raise ValueError("output_norm must be finite, with a positive std")
         object.__setattr__(self, "layers", tuple(layers))
         object.__setattr__(self, "input_norm", (mean, std))
         object.__setattr__(
@@ -143,28 +143,16 @@ def _activations(layers, x_norm: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _forward_norm(layers, x_norm: np.ndarray) -> np.ndarray:
-    """Forward pass on normalized inputs (n, d) -> normalized outputs (n,)."""
-    return _activations(layers, x_norm)[-1][0]
-
-
 def predict(model: MlpModel, x: Sequence[float]) -> float:
     """Normalize -> forward pass -> denormalize.  Pure and deterministic."""
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1 or xv.shape[0] != model.input_dim:
         raise DimensionMismatch(f"expected {model.input_dim} inputs, got shape {xv.shape}")
-    return float(predict_batch(model, xv[None, :])[0])
-
-
-def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 2 or xv.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"expected (n, {model.input_dim}) inputs, got {xv.shape}")
     if not np.all(np.isfinite(xv)):
         raise NonFiniteInput("input contains non-finite values")
     mean, std = model.input_norm
     mu, sigma = model.output_norm
-    return _forward_norm(model.layers, (xv - mean) / std) * sigma + mu
+    return float(_activations(model.layers, (xv[None, :] - mean) / std)[-1][0, 0] * sigma + mu)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +186,16 @@ def _unpack(theta: np.ndarray, dims: Sequence[int]):
     return layers
 
 
-def _residuals_and_jacobian(theta, dims, x_norm, y_norm):
-    """Residuals r = yhat - y and the Jacobian dr/dtheta, both on the
-    normalized scale.  One backprop pass per layer, vectorized over samples."""
-    layers = _unpack(theta, dims)
-    n = x_norm.shape[0]
-    acts = _activations(layers, x_norm)
-    residuals = acts[-1][0] - y_norm
-
-    jac = np.empty((n, theta.shape[0]))
+def _jacobian(layers, acts) -> np.ndarray:
+    """The Jacobian of the normalized outputs with respect to the packed
+    parameters, by backprop through ``_activations(layers, x)``: one pass
+    per layer, vectorized over samples."""
+    n = acts[0].shape[1]
+    jac = np.empty((n, sum(w.size + b.size for w, b in layers)))
     delta = np.ones((1, n))
-    pos = theta.shape[0]
+    pos = jac.shape[1]
     for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
+        w = layers[i][0]
         fan_out, fan_in = w.shape
         pos -= fan_out
         jac[:, pos : pos + fan_out] = delta.T
@@ -221,13 +206,7 @@ def _residuals_and_jacobian(theta, dims, x_norm, y_norm):
         ).reshape(n, fan_out * fan_in)
         if i > 0:
             delta = (w.T @ delta) * (1.0 - acts[i] ** 2)
-    return residuals, jac
-
-
-def _sse(theta, dims, x_norm, y_norm) -> float:
-    layers = _unpack(theta, dims)
-    r = _forward_norm(layers, x_norm) - y_norm
-    return float(r @ r)
+    return jac
 
 
 def split_sessions(session_ids: Sequence[str], rng_seed: int) -> dict[str, tuple[str, ...]]:
@@ -261,9 +240,7 @@ def error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     return {"mean": float(np.mean(errs)), "max": float(np.max(errs)), "std": float(np.std(errs))}
 
 
-def features_from_traces(
-    traces, metrics: Sequence[MetricKind], where: str = "<session>"
-) -> list[float]:
+def features_from_traces(traces, metrics: Sequence[MetricKind], where: str) -> list[float]:
     missing = [k.name for k in metrics if k not in traces]
     if missing:
         raise DimensionMismatch(f"{where} lacks metrics {missing}")
@@ -294,15 +271,16 @@ def _design_matrix(records, purpose, input_metrics):
 @dataclass(frozen=True)
 class Prepared:
     """One training problem, the input of ``train``: the purpose, the input
-    metrics, the seeded split, its design matrices and their normalization.
-    ``prepare`` builds it from records, a purpose, a selection and
-    cfg.rng_seed, never from the net's widths, so a width search trains
-    every width on one problem."""
+    metrics, the seeded split, and per split its inputs, normalized with the
+    training split's statistics (``in_norm``), and its targets.  ``prepare``
+    builds it from records, a purpose, a selection and cfg.rng_seed, never
+    from the net's widths, so a width search trains every width on one
+    problem."""
 
     purpose: Purpose
     input_metrics: tuple[MetricKind, ...]
     splits: dict[str, tuple[str, ...]]
-    parts: dict[str, tuple[np.ndarray, np.ndarray]]
+    parts: dict[str, tuple[np.ndarray, np.ndarray]]  # split -> (normalized x, y)
     in_norm: tuple[np.ndarray, np.ndarray]
     out_mean: float
     out_std: float
@@ -336,8 +314,9 @@ def prepare(records, purpose, selected_metrics, cfg) -> Prepared:
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
     return Prepared(
-        purpose, input_metrics, splits, parts, (in_mean, in_std),
-        float(np.mean(y_train)), float(np.std(y_train)),
+        purpose, input_metrics, splits,
+        {name: ((x - in_mean) / in_std, y) for name, (x, y) in parts.items()},
+        (in_mean, in_std), float(np.mean(y_train)), float(np.std(y_train)),
     )
 
 
@@ -410,9 +389,8 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
     numpy's bundled OpenBLAS, independent of the BLAS thread count: the call
     holds BLAS at one thread.
     """
-    in_mean, in_std = problem.in_norm
     out_mean, out_std = problem.out_mean, problem.out_std
-    x_train, y_train = problem.parts["train"]
+    xt, y_train = problem.parts["train"]
 
     dims = _net_dims(problem, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -423,28 +401,32 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
         w_last, b_last = layers[-1]
         layers[-1] = (np.zeros_like(w_last), np.zeros_like(b_last))
         out_std = 1.0
+    yt = (y_train - out_mean) / out_std
+    xv, y_val = problem.parts["val"]
 
-    x_val, y_val = problem.parts["val"]
-    xt, yt = (x_train - in_mean) / in_std, (y_train - out_mean) / out_std
-    xv = (x_val - in_mean) / in_std
+    def forward(th):  # th, its layers, their activations on xt, the residuals and their SSE
+        layers = _unpack(th, dims)
+        acts = _activations(layers, xt)
+        r = acts[-1][0] - yt
+        return th, layers, acts, r, float(r @ r)
 
-    theta = _pack(layers)
-    lam = LAMBDA0
-    sse = _sse(theta, dims, xt, yt)
-    eye = np.eye(theta.shape[0])
-
-    def val_error(th) -> float:
-        pred = _forward_norm(_unpack(th, dims), xv) * out_std + out_mean
+    def val_error(layers) -> float:
+        pred = _activations(layers, xv)[-1][0] * out_std + out_mean
         return float(np.mean(_rel_errors(pred, y_val)))
 
+    lam = LAMBDA0
+    # the accepted weights' forward pass, which the next epoch's Jacobian reuses
+    theta, layers, acts, r, sse = forward(_pack(layers))
+    eye = np.eye(theta.shape[0])
+
     best_theta = theta.copy()
-    best_val = val_error(theta)
+    best_val = val_error(layers)
     patience = EARLY_STOP_PATIENCE
     accepted_ever = False
     epochs_run = 0
 
     for _ in range(cfg.max_epochs):
-        r, jac = _residuals_and_jacobian(theta, dims, xt, yt)
+        jac = _jacobian(layers, acts)
         grad = jac.T @ r
         if float(np.max(np.abs(grad))) < _GRAD_TOL:
             break
@@ -456,11 +438,9 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
                 continue
-            candidate = theta - delta
-            sse_new = _sse(candidate, dims, xt, yt)
-            if math.isfinite(sse_new) and sse_new < sse:
-                theta = candidate
-                sse = sse_new
+            step = forward(theta - delta)
+            if math.isfinite(step[-1]) and step[-1] < sse:
+                theta, layers, acts, r, sse = step
                 lam = max(lam * LAMBDA_DOWN, 1e-12)
                 accepted = True
                 accepted_ever = True
@@ -471,7 +451,7 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
                 raise Diverged(f"damping exceeded {LAMBDA_CAP:g} without an accepted step")
             break
         epochs_run += 1
-        v = val_error(theta)
+        v = val_error(layers)
         if v < best_val - 1e-12:
             best_val = v
             best_theta = theta.copy()
@@ -485,7 +465,7 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
         purpose=problem.purpose,
         input_metrics=problem.input_metrics,
         layers=tuple((w.copy(), b.copy()) for w, b in _unpack(best_theta, dims)),
-        input_norm=(in_mean, in_std),
+        input_norm=problem.in_norm,
         output_norm=(out_mean, out_std),
         rng_seed=cfg.rng_seed,
     )
@@ -493,9 +473,10 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
 
 
 def _build_report(model, problem, epochs_run, final_lambda) -> FitReport:
+    mu, sigma = model.output_norm
     return FitReport(
         purpose=problem.purpose,
-        errors={name: error_stats(predict_batch(model, x), y)
+        errors={name: error_stats(_activations(model.layers, x)[-1][0] * sigma + mu, y)
                 for name, (x, y) in problem.parts.items()},
         epochs_run=epochs_run,
         final_lambda=float(final_lambda),

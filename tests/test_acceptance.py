@@ -25,9 +25,11 @@ from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
 from vmsight.identify import UNKNOWN, _dtw, build_fingerprint_db, identify
 from vmsight.neural import (
     TrainConfig,
+    _activations,
     _init_layers,
+    _jacobian,
     _pack,
-    _residuals_and_jacobian,
+    _unpack,
 )
 from vmsight.select import pearson
 from vmsight.simgen import (
@@ -186,15 +188,16 @@ def test_criterion_05_gradient_check():
         theta = _pack(_init_layers(rng, dims))
         x = rng.normal(0, 1, (int(rng.integers(5, 25)), d))
         y = rng.normal(0, 1, x.shape[0])
-        _, analytic = _residuals_and_jacobian(theta, dims, x, y)
+        layers = _unpack(theta, dims)
+        analytic = _jacobian(layers, _activations(layers, x))
         eps = 1e-6
         numeric = np.empty_like(analytic)
         for p in range(theta.size):
             up, down = theta.copy(), theta.copy()
             up[p] += eps
             down[p] -= eps
-            r_up, _ = _residuals_and_jacobian(up, dims, x, y)
-            r_dn, _ = _residuals_and_jacobian(down, dims, x, y)
+            r_up = _activations(_unpack(up, dims), x)[-1][0] - y
+            r_dn = _activations(_unpack(down, dims), x)[-1][0] - y
             numeric[:, p] = (r_up - r_dn) / (2 * eps)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         worst = max(worst, rel)

@@ -51,6 +51,17 @@ def _edit_model(edit):
     return corrupt
 
 
+def _set_norm(norm, key, value):
+    """Set the model's output_norm ``key``, or the first input's input_norm ``key``."""
+    def edit(obj):
+        if norm == "output_norm":
+            obj[norm][key] = value
+        else:
+            obj[norm][key][0] = value
+
+    return _edit_model(edit)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small end-to-end CLI workspace: corpus, db, models, profiles."""
@@ -110,6 +121,18 @@ class TestBasics:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "identify", "--frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fingerprint", "--json"],
+        ["fingerprint", "--seed", "1"],
+        ["identify", "--seed", "1"],
+        ["select-metrics", "--app", "web_serving", "--seed", "1"],
+        ["predict", "--seed", "1"],
+        ["evaluate", "--experiment", "error-table", "--amp-gain", "2"],
+    ])
+    def test_flag_that_changes_no_output_is_gone(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err
 
     def test_missing_subcommand_exits_two(self, capsys):
         code, _, _ = run(capsys)
@@ -215,6 +238,23 @@ class TestIdentify:
                 id="unknown-metric",
             ),
             pytest.param(lambda db: (db / "db.json").unlink(), "IoError", id="missing-db-json"),
+            pytest.param(
+                _edit_index(lambda index: index.update(distance_threshold=float("inf"))),
+                "ParseError",
+                id="infinite-threshold",
+            ),
+            pytest.param(
+                _edit_index(lambda index: index["metric_thresholds"].update(
+                    {index["entries"][0]["metric"]: float("inf")}
+                )),
+                "ParseError",
+                id="infinite-metric-threshold",
+            ),
+            pytest.param(
+                _edit_index(lambda index: index["entries"][1].update(period_s=float("inf"))),
+                "ParseError",
+                id="infinite-period",
+            ),
         ],
     )
     def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):
@@ -224,6 +264,63 @@ class TestIdentify:
         code, _, err = run(capsys, "identify", "--corpus", workspace["corpus"], "--db", str(db))
         assert code == 1
         assert err.startswith(f"{error}: ") and "db.json" in err.splitlines()[0]
+
+
+def _edit_third_session(corpus, tmp_path, edit):
+    """A corpus of the first 6 sessions of ``corpus``, the third one edited,
+    and that session's id."""
+    lines = open(corpus).read().splitlines()[:6]
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record, sort_keys=True)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), record["session_id"]
+
+
+def _keep_traces(names):
+    return lambda record: record.update(
+        traces={k: v for k, v in record["traces"].items() if k in names}
+    )
+
+
+class TestPerSessionErrors:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, edit, error",
+        [
+            pytest.param(
+                "identify",
+                lambda record: record.update(
+                    traces={k: v[:10] for k, v in record["traces"].items()}
+                ),
+                "TooShort",
+                id="identify-too-short",
+            ),
+            *[
+                pytest.param(command, edit, error, id=f"{command}-{case}")
+                for command in ("identify", "predict")
+                for case, edit, error in [
+                    ("no-usable-metrics", _keep_traces({"net_rx_bytes"}), "NoUsableMetrics"),
+                    ("period-mismatch", lambda record: record.update(period_s=2.0),
+                     "PeriodMismatch"),
+                ]
+            ],
+            pytest.param(
+                "predict", _keep_traces({"cpu_util_pct"}), "DimensionMismatch",
+                id="predict-lacks-metrics",
+            ),
+        ],
+    )
+    def test_error_names_the_session(self, capsys, workspace, tmp_path, command, edit, error,
+                                     jobs):
+        corpus, session = _edit_third_session(workspace["corpus"], tmp_path, edit)
+        args = [command, "--corpus", corpus, "--db", workspace["db"], "--jobs", jobs]
+        if command == "predict":
+            args += ["--models", workspace["models"], "--profiles", workspace["profiles"]]
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert err.startswith(f"{error}: session {session}"), err
 
 
 class TestPredict:
@@ -387,6 +484,19 @@ class TestPredict:
                 )),
                 id="wrong-category",
             ),
+        ]
+        + [
+            pytest.param(_set_norm(norm, key, value), id=f"{norm}-{key}-{value}")
+            for norm, key, value in [
+                ("input_norm", "std", float("nan")),
+                ("input_norm", "std", float("inf")),
+                ("input_norm", "mean", float("nan")),
+                ("input_norm", "mean", float("inf")),
+                ("output_norm", "std", float("nan")),
+                ("output_norm", "std", float("inf")),
+                ("output_norm", "mean", float("nan")),
+                ("output_norm", "mean", float("inf")),
+            ]
         ],
     )
     def test_corrupted_model_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt):
@@ -789,19 +899,19 @@ COMMANDS = {
     "simulate": (["simulate", "--sessions", "1", "--duration-s", "10"],
                  ["--seed", "--amp-gain", "--outsider"]),
     "fingerprint": (["fingerprint", *_INPUTS["corpus"], *_INPUTS["out"]],
-                    ["--seed", "--refs-per-app", "--threshold", "--threshold-dtw"]),
+                    ["--refs-per-app", "--threshold", "--threshold-dtw"]),
     "identify": (["identify", *_INPUTS["corpus"], *_INPUTS["db"]],
-                 ["--seed", "--jobs", "--min-trace-len"]),
+                 ["--jobs", "--min-trace-len"]),
     "select-metrics": (["select-metrics", "--app", "web_serving", *_INPUTS["corpus"]],
-                       ["--seed", "--threshold-corr"]),
+                       ["--threshold-corr"]),
     "train": (["train", *_INPUTS["corpus"], *_INPUTS["models"]],
               ["--seed", "--threshold-corr", "--hidden-grid", "--max-epochs", "--jobs"]),
     "predict": (["predict", *_INPUTS["corpus"], *_INPUTS["db"], *_INPUTS["models"]],
-                ["--seed", "--jobs"]),
+                ["--jobs"]),
     **{
         f"evaluate {experiment}": (
             ["evaluate", "--experiment", experiment, *_INPUTS["corpus"], *_INPUTS["models"]],
-            ["--seed", "--amp-gain", "--hours", "--ref-counts", "--threshold-dtw", "--queries",
+            ["--seed", "--hours", "--ref-counts", "--threshold-dtw", "--queries",
              "--min-test-sessions"],
         )
         for experiment in ("ablation", "tradeoff", "timing", "error-table")

@@ -20,9 +20,11 @@ from vmsight.neural import (
     MlpModel,
     Purpose,
     TrainConfig,
+    _activations,
     _init_layers,
+    _jacobian,
     _pack,
-    _residuals_and_jacobian,
+    _unpack,
     hyper_search,
     load_model,
     model_from_obj,
@@ -70,8 +72,8 @@ def finite_difference_jacobian(theta, dims, x, y, eps=1e-6):
         up, down = theta.copy(), theta.copy()
         up[p] += eps
         down[p] -= eps
-        r_up, _ = _residuals_and_jacobian(up, dims, x, y)
-        r_down, _ = _residuals_and_jacobian(down, dims, x, y)
+        r_up = _activations(_unpack(up, dims), x)[-1][0] - y
+        r_down = _activations(_unpack(down, dims), x)[-1][0] - y
         base[:, p] = (r_up - r_down) / (2 * eps)
     return base
 
@@ -86,7 +88,8 @@ class TestJacobian:
             theta = _pack(_init_layers(rng, dims))
             x = rng.normal(0, 1, (int(rng.integers(5, 20)), d))
             y = rng.normal(0, 1, x.shape[0])
-            _, analytic = _residuals_and_jacobian(theta, dims, x, y)
+            layers = _unpack(theta, dims)
+            analytic = _jacobian(layers, _activations(layers, x))
             numeric = finite_difference_jacobian(theta, dims, x, y)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
             assert rel < 1e-4
@@ -136,6 +139,42 @@ class TestTrain:
         for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert r1.errors == r2.errors
+
+    def test_each_weight_vector_runs_forward_once(self, monkeypatch):
+        """One forward pass over the training inputs for the initial weights
+        and one per candidate step tried: the next epoch's Jacobian reuses
+        the accepted candidate's pass."""
+        records = linear_records(noise=0.3)
+        cfg = TrainConfig(hidden_sizes=(6,), max_epochs=40)
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg)
+        n_train = len(problem.splits["train"])
+        assert n_train not in (len(problem.splits["val"]), len(problem.splits["test"]))
+        real_activations, real_solve = neural._activations, np.linalg.solve
+        real_report = neural._build_report
+        events = []
+
+        def activations(layers, x):
+            if x.shape[0] == n_train:
+                events.append("forward")
+            return real_activations(layers, x)
+
+        def solve(a, b):
+            delta = real_solve(a, b)
+            events.append("step")
+            return delta
+
+        def build_report(*args):
+            events.append("report")
+            return real_report(*args)
+
+        monkeypatch.setattr(neural, "_activations", activations)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(neural, "_build_report", build_report)
+        _, report = train(problem, cfg)
+        training = events[: events.index("report")]
+        steps = training.count("step")
+        assert training.count("forward") == 1 + steps
+        assert steps > report.epochs_run > 0  # rejected steps were tried as well
 
     def test_diverged_when_damping_starts_above_cap(self, monkeypatch):
         records = linear_records()

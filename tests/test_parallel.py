@@ -1,5 +1,5 @@
 """The package's one parallel map: lanes, order, errors, and where process
-pools and the BLAS thread setter may appear."""
+pools, the BLAS thread setter and the forward pass's tanh may appear."""
 
 import ast
 import os
@@ -119,3 +119,20 @@ def test_one_module_names_it(name, home):
             ):
                 users.add(path.stem)
     assert users == {home}
+
+
+def test_one_forward_routine():
+    """tanh is named in neural._activations alone: training, fit scoring and
+    prediction run one forward routine, and no second one can come back."""
+    sites = []
+    for path in sorted(Path(vmsight.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "tanh") or (
+                isinstance(node, ast.Name) and node.id == "tanh"
+            ):
+                # ast.walk goes breadth first, so the last enclosing def is the innermost
+                defs = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                        and f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.stem, defs[-1] if defs else None))
+    assert sites == [("neural", "_activations")]
