@@ -22,6 +22,7 @@ from .errors import (
     InsufficientReferences,
     NoReferenceForMetric,
     NoUsableMetrics,
+    ParseError,
     PeriodMismatch,
     TooShort,
 )
@@ -365,13 +366,17 @@ def _db_from_index(index: Mapping) -> FingerprintDb:
     return FingerprintDb(
         entries=tuple(_entry(i, item) for i, item in enumerate(index["entries"])),
         metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
-        distance_threshold=float(index["distance_threshold"]),
-        metric_thresholds={k: float(v) for k, v in index["metric_thresholds"].items()},
+        distance_threshold=_num(index["distance_threshold"], "distance_threshold"),
+        metric_thresholds={
+            k: _num(v, f"metric_thresholds: {k}") for k, v in index["metric_thresholds"].items()
+        },
         source_session_ids=tuple(index.get("source_session_ids", ())),
     )
 
 
 def _entry(i: int, item: Mapping) -> FingerprintEntry:
+    if not isinstance(item["app_label"], str):
+        raise ParseError(f"entry {i}: app_label: expected a string, got {item['app_label']!r}")
     kind = metric_by_name(item["metric"])
     samples = _samples(item["samples"], f"entry {i}")
     trace = MetricTrace(kind, samples, period_s=_num(item["period_s"], f"entry {i}: period_s"))

@@ -1,0 +1,272 @@
+/* A strict parser for one JSONL corpus line (see tracemodel.py).
+ *
+ * vmsight_parse_record() reads one stripped line and either accepts it or
+ * declines it; the caller parses a declined line with Python's json.  It
+ * accepts only a JSON object with the seven record keys, each once, in
+ * any order:
+ *
+ *     session_id                 string
+ *     app_label                  string or null
+ *     period_s, workload_level,
+ *     performance,
+ *     interference_level         number or null
+ *     traces                     object of string -> array of numbers
+ *
+ * Every byte must be ASCII, and strings may hold no escape and no control
+ * character.  A number is converted only where one IEEE operation gives
+ * the correctly rounded value (Clinger, PLDI 1990): a decimal mantissa w
+ * of at most 2^53 times 10^e with |e| <= 22, computed as w * 10^e or
+ * w / 10^-e, or a zero mantissa.  Any other number, and any exponent
+ * written with more than 4 digits, declines the line.  No call depends on
+ * the locale.  An integer token "-0" gives +0.0, as Python's
+ * float(int("-0")) does; "-0.0" and "-0e0" give -0.0.
+ *
+ * Outputs, valid when the line is accepted:
+ *     spans[0], spans[1]   session_id as [start, end) offsets in the line
+ *     spans[2], spans[3]   app_label the same way, or -1, -1 for null
+ *     spans[4 + 4k ..]     trace k: its name's [start, end) in the line,
+ *                          then its samples' [start, end) in samples[]
+ *     nums[0..3]           period_s, workload_level, performance,
+ *                          interference_level; NaN stands for null
+ * samples has room for cap values and spans for 4 + 4 * max_traces; a line
+ * that needs more is declined.  The return value is the number of traces,
+ * or -1 when the line is declined.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* 10^0 .. 10^22 are exact doubles (5^22 < 2^53) */
+static const double P10[23] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static const char *const KEYS[7] = {
+    "session_id", "app_label", "period_s", "workload_level",
+    "performance", "interference_level", "traces",
+};
+
+typedef struct {
+    const unsigned char *s;
+    long i, n;
+} cursor;
+
+static int is_digit(unsigned char ch) { return ch >= '0' && ch <= '9'; }
+
+static void skip_ws(cursor *c)
+{
+    while (c->i < c->n) {
+        unsigned char ch = c->s[c->i];
+        if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r')
+            return;
+        c->i++;
+    }
+}
+
+/* Consume ch after optional whitespace; 0 if the next byte is another. */
+static int take(cursor *c, unsigned char ch)
+{
+    skip_ws(c);
+    if (c->i < c->n && c->s[c->i] == ch) {
+        c->i++;
+        return 1;
+    }
+    return 0;
+}
+
+static int take_null(cursor *c)
+{
+    skip_ws(c);
+    if (c->n - c->i >= 4 && memcmp(c->s + c->i, "null", 4) == 0) {
+        c->i += 4;
+        return 1;
+    }
+    return 0;
+}
+
+/* A string without escapes; its contents are s[*start, *end). */
+static int take_string(cursor *c, long *start, long *end)
+{
+    if (!take(c, '"'))
+        return 0;
+    *start = c->i;
+    while (c->i < c->n) {
+        unsigned char ch = c->s[c->i];
+        if (ch == '"') {
+            *end = c->i++;
+            return 1;
+        }
+        if (ch < 0x20 || ch > 0x7f || ch == '\\')
+            return 0;
+        c->i++;
+    }
+    return 0;
+}
+
+/* Append one mantissa digit; leading zeros are not significant.  At most
+ * 19 significant digits, so w stays below 10^19 < 2^64. */
+static int add_digit(uint64_t *w, int *sig, unsigned char ch)
+{
+    if (*w == 0 && ch == '0')
+        return 1;
+    if (++*sig > 19)
+        return 0;
+    *w = *w * 10 + (uint64_t)(ch - '0');
+    return 1;
+}
+
+static int take_number(cursor *c, double *out)
+{
+    const unsigned char *s = c->s;
+    uint64_t w = 0;
+    int neg = 0, integer = 1, sig = 0, exp_digits = 0;
+    long e = 0, frac = 0;
+    double v;
+
+    skip_ws(c);
+    if (c->i < c->n && s[c->i] == '-') {
+        neg = 1;
+        c->i++;
+    }
+    if (c->i >= c->n || !is_digit(s[c->i]))
+        return 0;
+    if (s[c->i] == '0') {
+        c->i++;
+    } else {
+        for (; c->i < c->n && is_digit(s[c->i]); c->i++)
+            if (!add_digit(&w, &sig, s[c->i]))
+                return 0;
+    }
+    if (c->i < c->n && s[c->i] == '.') {
+        integer = 0;
+        c->i++;
+        if (c->i >= c->n || !is_digit(s[c->i]))
+            return 0;
+        for (; c->i < c->n && is_digit(s[c->i]); c->i++, frac++)
+            if (!add_digit(&w, &sig, s[c->i]))
+                return 0;
+    }
+    if (c->i < c->n && (s[c->i] == 'e' || s[c->i] == 'E')) {
+        int eneg = 0;
+        integer = 0;
+        c->i++;
+        if (c->i < c->n && (s[c->i] == '+' || s[c->i] == '-'))
+            eneg = s[c->i++] == '-';
+        if (c->i >= c->n || !is_digit(s[c->i]))
+            return 0;
+        for (; c->i < c->n && is_digit(s[c->i]); c->i++) {
+            if (++exp_digits > 4)
+                return 0;
+            e = e * 10 + (s[c->i] - '0');
+        }
+        if (eneg)
+            e = -e;
+    }
+    e -= frac;
+    if (w == 0) {
+        v = 0.0;
+    } else {
+        if (w > (UINT64_C(1) << 53) || e < -22 || e > 22)
+            return 0;
+        v = (double)w;
+        v = e >= 0 ? v * P10[e] : v / P10[-e];
+    }
+    /* the integer -0 is int 0 in Python, and float(0) is +0.0 */
+    *out = neg && !(integer && w == 0) ? -v : v;
+    return 1;
+}
+
+static int key_index(const unsigned char *s, long len)
+{
+    int k;
+    for (k = 0; k < 7; k++)
+        if ((long)strlen(KEYS[k]) == len && memcmp(KEYS[k], s, (size_t)len) == 0)
+            return k;
+    return -1;
+}
+
+/* The traces object; the number of traces, or -1. */
+static long take_traces(cursor *c, double *samples, long cap, long *spans, long max_traces)
+{
+    long ntr = 0, ns = 0, j;
+
+    if (!take(c, '{'))
+        return -1;
+    for (;;) {
+        long *t = spans + 4 * ntr;
+        if (ntr == max_traces || !take_string(c, &t[0], &t[1]) || !take(c, ':')
+            || !take(c, '['))
+            return -1;
+        for (j = 0; j < ntr; j++)
+            if (spans[4 * j + 1] - spans[4 * j] == t[1] - t[0]
+                && memcmp(c->s + spans[4 * j], c->s + t[0], (size_t)(t[1] - t[0])) == 0)
+                return -1;
+        t[2] = ns;
+        if (!take(c, ']')) {
+            for (;;) {
+                if (ns == cap || !take_number(c, &samples[ns]))
+                    return -1;
+                ns++;
+                if (take(c, ']'))
+                    break;
+                if (!take(c, ','))
+                    return -1;
+            }
+        }
+        t[3] = ns;
+        ntr++;
+        if (take(c, '}'))
+            return ntr;
+        if (!take(c, ','))
+            return -1;
+    }
+}
+
+long vmsight_parse_record(const char *line, long n, double *samples, long cap, long *spans,
+                          long max_traces, double *nums)
+{
+    cursor c;
+    unsigned seen = 0;
+    long ntr = -1;
+
+    c.s = (const unsigned char *)line;
+    c.i = 0;
+    c.n = n;
+    if (!take(&c, '{'))
+        return -1;
+    for (;;) {
+        long start, end;
+        int k;
+        if (!take_string(&c, &start, &end) || !take(&c, ':'))
+            return -1;
+        k = key_index(c.s + start, end - start);
+        if (k < 0 || (seen & (1u << k)))
+            return -1;
+        seen |= 1u << k;
+        if (k == 0) {
+            if (!take_string(&c, &spans[0], &spans[1]))
+                return -1;
+        } else if (k == 1) {
+            if (take_null(&c))
+                spans[2] = spans[3] = -1;
+            else if (!take_string(&c, &spans[2], &spans[3]))
+                return -1;
+        } else if (k == 6) {
+            ntr = take_traces(&c, samples, cap, spans + 4, max_traces);
+            if (ntr < 0)
+                return -1;
+        } else if (take_null(&c)) {
+            nums[k - 2] = NAN;
+        } else if (!take_number(&c, &nums[k - 2])) {
+            return -1;
+        }
+        if (take(&c, '}'))
+            break;
+        if (!take(&c, ','))
+            return -1;
+    }
+    skip_ws(&c);
+    return c.i == c.n && seen == 0x7f ? ntr : -1;
+}

@@ -111,11 +111,13 @@ class MlpModel:
             width = w.shape[0]
         if width != 1:
             raise ValueError("output layer must produce one value")
-        mean, std = (np.asarray(v, dtype=float) for v in self.input_norm)
+        mean, std = (np.array(v, dtype=float) for v in self.input_norm)
         if mean.shape != (self.input_dim,) or std.shape != (self.input_dim,):
             raise ValueError("input_norm needs one (mean, std) pair per input dimension")
         if not (np.all(np.isfinite(mean)) and np.all((0 < std) & (std < np.inf))):
             raise ValueError("input_norm must be finite, with a positive std")
+        mean.flags.writeable = False
+        std.flags.writeable = False
         if not (math.isfinite(self.output_norm[0]) and 0 < self.output_norm[1] < math.inf):
             raise ValueError("output_norm must be finite, with a positive std")
         object.__setattr__(self, "layers", tuple(layers))

@@ -10,11 +10,13 @@ sidecar with the labels).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import enum
 import itertools
 import json
 import math
 import os
+import secrets
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -268,19 +270,20 @@ def read_json(path: str, build: Callable[[Any], T]) -> T:
 
 
 @contextlib.contextmanager
-def atomic_write(path: str) -> Iterator[IO[str]]:
-    """Stream UTF-8 text to ``<path>.tmp`` and rename it over ``path`` on a
-    clean exit, creating parent directories as needed.
+def replacing(path: str) -> Iterator[str]:
+    """Yield a temporary file name in ``path``'s directory that no other
+    writer uses, and rename that file over ``path`` on a clean exit,
+    creating parent directories as needed.
 
-    On any failure the tmp file is removed and ``path`` keeps what it held
-    before; an OSError becomes IoError.  There is no fsync, so a machine
-    crash may still lose the new content.
+    On any failure the temporary file is removed and ``path`` keeps what it
+    held before; an OSError becomes IoError.  Of concurrent writers of one
+    path, the last to finish wins, and each leaves a whole file.  There is
+    no fsync, so a machine crash may still lose the new content.
     """
-    tmp = path + ".tmp"
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -288,6 +291,14 @@ def atomic_write(path: str) -> Iterator[IO[str]]:
         if isinstance(exc, OSError):
             raise IoError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         raise
+
+
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """Stream UTF-8 text to a temporary file and rename it over ``path``, as
+    ``replacing`` does."""
+    with replacing(path) as tmp, open(tmp, "x", encoding="utf-8") as fh:
+        yield fh
 
 
 def write_json(path: str, obj, indent: Optional[int] = 2) -> None:
@@ -417,14 +428,17 @@ def _num(value, where: str, allow_none: bool = False) -> Optional[float]:
     return v
 
 
-def _samples(values: list, where: str) -> np.ndarray:
+def _samples(values, where: str) -> np.ndarray:
     """Convert one JSON sample list to floats, checking every sample.
 
     The whole list is checked at once: only ints and floats (bool is its
     own type, so it fails), a float conversion that does not overflow, and
     finite results.  Only when a check fails is the list walked sample by
-    sample, so that the error names the first bad sample.
+    sample, so that the error names the first bad sample.  The C parser's
+    float64 arrays hold only finite numbers and pass as they are.
     """
+    if isinstance(values, np.ndarray):
+        return values
     if set(map(type, values)) <= {int, float}:
         try:
             arr = np.array(values, dtype=float)
@@ -467,7 +481,7 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
             kind = metric_by_name(name)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
-        if not isinstance(values, list) or len(values) < 2:
+        if not isinstance(values, (list, np.ndarray)) or len(values) < 2:
             raise ParseError(f"{where}: trace {name!r} needs >= 2 samples")
         samples = _samples(values, f"{where}: trace {name!r}")
         traces[kind] = MetricTrace(kind, samples, period_s=period)
@@ -477,8 +491,60 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+_JSONL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "jsonl.c")
+_MAX_TRACES = len(STANDARD_METRICS)  # a line with more is declined, then rejected
+
+
+def _line_parser() -> Optional[Callable[[bytes], Optional[dict]]]:
+    """A function from a stripped JSONL line to the object json.loads would
+    give, trace samples as float64 arrays, or to None when jsonl.c's parser
+    declines the line; None where that parser cannot be built.
+
+    Samples land in one buffer that the next line overwrites, so a record's
+    MetricTrace copies must be made before the next call.
+    """
+    from . import native  # native renames its build through this module
+
+    lib = native.load(_JSONL_C)
+    if lib is None:
+        return None
+    fn = lib.vmsight_parse_record
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+                   ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+    fn.restype = ctypes.c_long
+    spans = np.empty(4 + 4 * _MAX_TRACES, dtype=ctypes.c_long)
+    nums = np.empty(4)
+    buf = np.empty(0)
+
+    def parse(line: bytes) -> Optional[dict]:
+        nonlocal buf
+        # n samples take at least 2n - 1 bytes
+        if len(buf) <= len(line) // 2:
+            buf = np.empty(len(line) // 2 + 1)
+        n = fn(line, len(line), buf.ctypes.data, len(buf), spans.ctypes.data, _MAX_TRACES,
+               nums.ctypes.data)
+        if n < 0:
+            return None
+        s = spans[: 4 + 4 * n].tolist()
+        period, *levels = (None if math.isnan(v) else v for v in nums.tolist())
+        return {
+            "session_id": line[s[0]:s[1]].decode("ascii"),
+            "app_label": None if s[2] < 0 else line[s[2]:s[3]].decode("ascii"),
+            "period_s": period,
+            **dict(zip(_LEVELS, levels)),
+            "traces": {line[a:b].decode("ascii"): buf[i:j]
+                       for a, b, i, j in zip(*[iter(s[4:])] * 4)},
+        }
+
+    return parse
+
+
 def _load_jsonl_file(path: str) -> list[SessionRecord]:
+    """The file's records in line order.  A line the C parser accepts still
+    goes through _record_from_obj; any line it declines, and any line whose
+    record fails, is parsed again by json, so errors come from one path."""
     name = os.path.basename(path)
+    parse = _line_parser()
     records = []
     with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -486,7 +552,12 @@ def _load_jsonl_file(path: str) -> list[SessionRecord]:
             if not line:
                 continue
             where = f"{name}:{lineno}"
-            records.append(_record_from_obj(parse_json(line, where), where))
+            record = None
+            if parse is not None:
+                with contextlib.suppress(Exception):
+                    obj = parse(line)
+                    record = obj and _record_from_obj(obj, where)
+            records.append(record or _record_from_obj(parse_json(line, where), where))
     return records
 
 

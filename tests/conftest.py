@@ -5,9 +5,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from vmsight import tracemodel
 from vmsight.degrade import fit_models_for_corpus, profiles_for_templates
 from vmsight.neural import TrainConfig
 from vmsight.simgen import ScenarioConfig, default_templates, generate, generate_isolated
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory):
+    """Build native code into a temporary cache, never into ~/.cache, and
+    build it before any test captures stderr, where a fallback notice would
+    land."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("VMSIGHT_CACHE_DIR", str(tmp_path_factory.mktemp("native-cache")))
+        tracemodel._line_parser()
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -255,6 +255,32 @@ class TestIdentify:
                 "ParseError",
                 id="infinite-period",
             ),
+            *[
+                pytest.param(
+                    _edit_index(lambda index, v=value: index["entries"][1].update(app_label=v)),
+                    "ParseError: db.json: entry 1: app_label",
+                    id=f"app-label-{value}",
+                )
+                for value in (None, 7)
+            ],
+            *[
+                pytest.param(
+                    _edit_index(lambda index, v=value: index.update(distance_threshold=v)),
+                    "ParseError: db.json: distance_threshold",
+                    id=f"threshold-{value!r}",
+                )
+                for value in (True, "800")
+            ],
+            *[
+                pytest.param(
+                    _edit_index(
+                        lambda index, v=value: index["metric_thresholds"].update(cpu_util_pct=v)
+                    ),
+                    "ParseError: db.json: metric_thresholds: cpu_util_pct",
+                    id=f"metric-threshold-{value!r}",
+                )
+                for value in (True, "800")
+            ],
         ],
     )
     def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):

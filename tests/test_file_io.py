@@ -8,6 +8,7 @@ escape.  The write tests check that a failed write leaves the previous file.
 import ast
 import itertools
 import json
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
@@ -231,3 +232,28 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write, wr
         write_failing(str(path), monkeypatch)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _write_in_two_halves(path, text, barrier):
+    """Write ``text`` through atomic_write, pausing after the first half
+    until the other writer has written its first half too."""
+    with tracemodel.atomic_write(path) as fh:
+        fh.write(text[: len(text) // 2])
+        fh.flush()
+        barrier.wait(timeout=60)
+        fh.write(text[len(text) // 2 :])
+
+
+def test_concurrent_writers_of_one_path_each_leave_a_whole_file(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    texts = ["a" * 100_000 + "\n", "b" * 60_000 + "\n"]
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_write_in_two_halves, args=(path, t, barrier)) for t in texts]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=60)
+    assert [(w.is_alive(), w.exitcode) for w in writers] == [(False, 0), (False, 0)]
+    assert open(path).read() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]

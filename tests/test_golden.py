@@ -17,6 +17,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from vmsight import tracemodel
 from vmsight.cli import main
 
 MANIFEST = Path(__file__).with_name("golden.json")
@@ -59,3 +60,11 @@ def test_pipeline_outputs_match_manifest(tmp_path, monkeypatch, capsys):
     want = json.loads(MANIFEST.read_text())
     differ = {k: got.get(k) for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k)}
     assert not differ, f"outputs differ from {MANIFEST.name} (name: new hash): {differ}"
+
+
+def test_pipeline_outputs_match_manifest_without_the_c_parser(tmp_path, monkeypatch, capsys):
+    """Every corpus line parsed by json alone gives the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tracemodel, "_line_parser", lambda: None)
+    want = json.loads(MANIFEST.read_text())
+    assert _run_pipeline(capsys) == want

@@ -308,6 +308,20 @@ class TestPredict:
         with pytest.raises(NonFiniteInput):
             predict(model, [float("nan")])
 
+    def test_models_of_one_problem_do_not_share_input_norms(self):
+        records = linear_records()
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
+        a, _ = train(problem, TrainConfig(hidden_sizes=(2,), max_epochs=5))
+        b, _ = train(problem, TrainConfig(hidden_sizes=(3,), max_epochs=5))
+        x = [float(records[0].trace("cpu_util_pct").samples.mean())]
+        before = predict(b, x)
+        for arr in a.input_norm:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        for arr in problem.in_norm:
+            arr[0] = 1.0 if arr is problem.in_norm[1] else 0.0
+        assert predict(b, x) == before
+
 
 class TestHyperSearch:
     def test_degenerate_grid_equals_train(self):

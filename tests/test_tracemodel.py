@@ -1,9 +1,13 @@
+import decimal
 import hashlib
 import json
 import math
 import os
+import re
+import string
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +187,22 @@ class TestSamples:
             _samples(values, "f.jsonl:3: trace 'cpu_util_pct'")
         assert str(info.value) == f"f.jsonl:3: trace 'cpu_util_pct' sample {i}: {message}"
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(json_numbers, min_size=2, max_size=40), bad_samples, st.data())
+    def test_bad_sample_in_a_corpus_is_named_by_index(self, values, bad, data):
+        value, message = bad
+        i = data.draw(st.integers(min_value=0, max_value=len(values)), label="index")
+        values.insert(i, value)
+        obj = {"session_id": "s", "app_label": None, "period_s": 1.0, "workload_level": None,
+               "performance": None, "interference_level": None,
+               "traces": {"cpu_util_pct": values}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.jsonl")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(obj) + "\n")
+            errors = _load_both_ways(path)
+        assert errors == [f"f.jsonl:1: trace 'cpu_util_pct' sample {i}: {message}"] * 2
+
     def test_samples_are_not_converted_one_by_one(self, tmp_path, monkeypatch):
         records = generate(
             ScenarioConfig(session_duration_s=60.0, rng_seed=5), default_templates(), 20
@@ -203,6 +223,171 @@ class TestSamples:
         path.write_text(path.read_text().replace("41.0", "4" * 5000, 1))
         with pytest.raises(ParseError, match=r"c\.jsonl:1: invalid JSON \(Exceeds the limit"):
             load_corpus(str(path))
+
+
+@pytest.fixture(scope="class")
+def python_parser():
+    """Parse every JSONL line with json, as where the C parser cannot be built."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tracemodel, "_line_parser", lambda: None)
+        yield
+
+
+# The JSONL loader tests again, with the C parser forced off.
+@pytest.mark.usefixtures("python_parser")
+class TestJsonlPythonParser(TestJsonl):
+    pass
+
+
+@pytest.mark.usefixtures("python_parser")
+class TestSamplesPythonParser(TestSamples):
+    # these check _samples alone, or load both ways themselves
+    test_valid_samples_match_per_sample_conversion = None
+    test_bad_sample_is_named_by_index = None
+    test_bad_sample_in_a_corpus_is_named_by_index = None
+
+
+def _bits(records) -> list:
+    """Every field of every record, floats as their bytes, so -0.0 differs
+    from 0.0 and equal values are equal bit for bit."""
+    def f(v):
+        return None if v is None else np.float64(v).tobytes()
+
+    return [(r.session_id, r.app_label, f(r.period_s),
+             [f(getattr(r, k)) for k in tracemodel._LEVELS],
+             [(k.name, t.samples.tobytes()) for k, t in r.traces.items()]) for r in records]
+
+
+def _load_both_ways(path: str):
+    """load_corpus with the C parser and with json alone: the records'
+    bits, or the ParseError's message."""
+    out = []
+    for parser in (tracemodel._line_parser, lambda: None):
+        with mock.patch.object(tracemodel, "_line_parser", parser):
+            try:
+                out.append(_bits(load_corpus(path)))
+            except ParseError as exc:
+                out.append(str(exc))
+    return out
+
+
+def _on_exact_path(token: str) -> bool:
+    """Whether the C parser converts a JSON number: an exponent of at most
+    4 digits, and mantissa m (trailing zeros kept) times 10**e with m == 0,
+    or m <= 2**53 and |e| <= 22."""
+    exp = re.fullmatch(r"-?[0-9.]+(?:[eE][+-]?([0-9]+))?", token).group(1)
+    if exp is not None and len(exp) > 4:
+        return False
+    sign, digits, e = decimal.Decimal(token).as_tuple()
+    m = int("".join(map(str, digits)))
+    return m == 0 or (m <= 2**53 and abs(e) <= 22)
+
+
+def _fraction_token(m: int, frac: int, exp: "int | None", neg: bool) -> str:
+    """m * 10**(exp - frac) written with ``frac`` fraction digits."""
+    digits = str(m).rjust(frac + 1, "0")
+    text = digits[: len(digits) - frac] + ("." + digits[-frac:] if frac else "")
+    if exp is not None:
+        text += f"e{exp:+d}" if exp % 2 else f"E{exp}"
+    return ("-" if neg else "") + text
+
+
+number_tokens = st.one_of(
+    st.integers(-(2**53), 2**53).map(str),
+    st.integers(-(10**17), 10**17).map(str),
+    st.builds(_fraction_token, st.integers(0, 10**16), st.integers(0, 6),
+              st.none() | st.integers(-25, 25), st.booleans()),
+    st.sampled_from(["-0", "-0.0", "-0e0", "0.000", "1e22", "1e23", "1e-22", "1e-23",
+                     "9007199254740992", "9007199254740993", "1e400", "0e99999"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e12, 1e12).map(lambda f: "%.9g" % f),
+)
+# tokens json rejects or that are not numbers
+not_numbers = st.sampled_from(["true", "NaN", "-Infinity", "01", "1.", ".5", "+1", "null",
+                               '"1"', "[]"])
+safe_text = st.text(string.ascii_letters + string.digits + " -_.:/~", min_size=1, max_size=8)
+whitespace = st.sampled_from(["", " ", "  ", "\t", " \r "])
+
+
+@st.composite
+def jsonl_lines(draw) -> tuple[bytes, bool]:
+    """One record line in any key order and layout, and whether the C
+    parser accepts it.  Lines drawn ``clean`` hold no escape, no non-number
+    sample, no repeated key and no trailing data."""
+    clean = draw(st.booleans())
+    ok = []
+
+    def number() -> str:
+        if not clean and draw(st.integers(0, 9)) == 0:
+            ok.append(False)
+            return draw(not_numbers)
+        token = draw(number_tokens)
+        ok.append(_on_exact_path(token))
+        return token
+
+    def string() -> str:
+        text = draw(safe_text if clean else st.text(min_size=1, max_size=8))
+        token = json.dumps(text, ensure_ascii=draw(st.booleans()))
+        ok.append(token[1:-1] == text and text.isascii())
+        return token
+
+    def ws() -> str:
+        return draw(whitespace)
+
+    names = draw(st.lists(st.sampled_from(sorted(STANDARD_METRICS)), min_size=1, max_size=3,
+                          unique=True))
+    traces = ",".join(
+        f'{ws()}"{n}"{ws()}:{ws()}['
+        + ",".join(f"{ws()}{number()}{ws()}" for _ in range(draw(st.integers(2, 6)))) + "]"
+        for n in names
+    )
+    values = {
+        "session_id": string(),
+        "app_label": "null" if draw(st.booleans()) else string(),
+        "period_s": draw(st.sampled_from(["1.0", "0.5", "2"])),
+        "workload_level": "null" if draw(st.booleans()) else number(),
+        "performance": "null" if draw(st.booleans()) else number(),
+        "interference_level": draw(st.sampled_from(["null", "0", "-0", "0.25", "1"])),
+        "traces": "{" + traces + ws() + "}",
+    }
+    keys = draw(st.permutations(sorted(values)))
+    if not clean and draw(st.booleans()):  # a key twice: json keeps the last
+        keys.append(draw(st.sampled_from(keys)))
+        ok.append(False)
+    tail = "" if clean else draw(st.sampled_from(["", " x", "{}", ","]))
+    ok.append(not tail)
+    body = ",".join(f"{ws()}{json.dumps(k)}{ws()}:{ws()}{values[k]}{ws()}" for k in keys)
+    return ("{" + body + "}" + tail).encode(), all(ok)
+
+
+class TestNativeParser:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(jsonl_lines())
+    def test_both_parsers_give_the_same_records_bit_for_bit(self, case):
+        line, accepted = case
+        assert (tracemodel._line_parser()(line) is not None) == accepted
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(line + b"\n")
+            native, python = _load_both_ways(path)
+        assert native == python
+
+    def test_every_line_of_a_simgen_corpus_is_parsed_natively(self, tmp_path, monkeypatch):
+        cfg = ScenarioConfig(session_duration_s=60.0, rng_seed=5)
+        records = generate(cfg, default_templates(), 30) + generate_isolated(
+            cfg, default_templates(), 2
+        )
+        path = str(tmp_path / "c.jsonl")
+        save_corpus(records, path)
+        native, python = _load_both_ways(path)
+        assert native == python
+        declined = []
+        parse_json = tracemodel.parse_json
+        monkeypatch.setattr(tracemodel, "parse_json",
+                            lambda *args: declined.append(args) or parse_json(*args))
+        assert load_corpus(path) == sorted(records, key=lambda r: r.session_id)
+        assert declined == []
 
 
 def _midpoints(mantissa: int, exponent: int) -> list[float]:
@@ -329,9 +514,11 @@ class TestJsonlWriter:
             with open(path, "rb") as fh:
                 lines = fh.read().decode("utf-8").split("\n")
             loaded = load_corpus(path)
+            native, python = _load_both_ways(path)
         ordered = sorted(records, key=lambda r: r.session_id)
         assert lines == [jsonl_line(r) for r in ordered] + [""]
         assert loaded == ordered
+        assert native == python
 
     @pytest.mark.parametrize(
         "field, value",
@@ -456,3 +643,8 @@ class TestCorpusApi:
         path = tmp_path / "c.jsonl"
         save_corpus(records, str(path))
         assert len(load_corpus(str(path))) == 7
+
+
+@pytest.mark.usefixtures("python_parser")
+class TestCorpusApiPythonParser(TestCorpusApi):
+    pass
