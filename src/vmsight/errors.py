@@ -23,8 +23,8 @@ class IoError(VmsightError):
 
 
 # identification
-class PeriodMismatch(VmsightError):
-    pass
+class PeriodMismatch(VmsightError, ValueError):
+    pass  # a ValueError too, so a DB file whose references mix periods is a ParseError
 
 
 class TooShort(VmsightError):

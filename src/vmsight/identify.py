@@ -2,11 +2,11 @@
 
 An unknown session is matched against a fingerprint database of labeled
 reference traces.  One exact dynamic-time-warping pass per metric aligns the
-query with every same-metric reference at once: it finds the minimum-cost
-(L1) warping path and, in the same sweep, the Euclidean distance between the
-two traces warped along that path, which scores the match.  Per-metric
-nearest-fingerprint results are combined by voting, and a distance threshold
-rejects sessions that resemble no known application.
+query with every row of the metric's padded reference matrix at once: it
+finds the minimum-cost (L1) warping path and, in the same sweep, the Euclidean
+distance between the two traces warped along that path, which scores the
+match.  Per-metric nearest-fingerprint results are combined by voting, and a
+distance threshold rejects sessions that resemble no known application.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,17 @@ DEFAULT_METRIC_THRESHOLDS = {
 # ---------------------------------------------------------------------------
 
 
-def _dtw(query: np.ndarray, refs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The arrays zero-padded into the rows of one read-only float64 matrix, and their lengths."""
+    lengths = tuple(len(a) for a in arrays)
+    matrix = np.zeros((len(arrays), max(lengths)))
+    for row, a in zip(matrix, arrays):
+        row[: len(a)] = a
+    matrix.setflags(write=False)
+    return matrix, lengths
+
+
+def _dtw(query: np.ndarray, refs: np.ndarray, lengths: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Exact DTW of one query against several references in one pass.
 
     Row i indexes the query, column j a reference.  Each cell carries the
@@ -74,17 +84,15 @@ def _dtw(query: np.ndarray, refs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
     The cells of one anti-diagonal depend only on the two before it, so a
     diagonal is one batched update over every reference.  Diagonal buffers
     hold row i at index i + 1; index 0 stands for row -1 and stays inf, as
-    do rows a diagonal has not reached yet.  References are zero-padded to
-    the longest; padded cells never feed a real one.
+    do rows a diagonal has not reached yet.  ``refs`` and ``lengths`` are the
+    references as ``_pad`` returns them; padded cells never feed a real one.
     """
     m = query.shape[0]
-    n = max(ref.shape[0] for ref in refs)
-    padded = np.zeros((len(refs), n))
+    n = refs.shape[1]
     # reference r ends at row m-1 of diagonal m + n_r - 2
     finish: dict[int, list[int]] = {}
-    for r, ref in enumerate(refs):
-        padded[r, : ref.shape[0]] = ref
-        finish.setdefault(m + ref.shape[0] - 2, []).append(r)
+    for r, length in enumerate(lengths):
+        finish.setdefault(m + length - 2, []).append(r)
     costs = np.empty(len(refs))
     sq = np.empty(len(refs))
     d2, d1, d0 = (np.full((len(refs), m + 1), np.inf) for _ in range(3))
@@ -93,7 +101,7 @@ def _dtw(query: np.ndarray, refs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
         lo = max(0, k - n + 1)
         hi = min(k, m - 1)
         cur = slice(lo + 1, hi + 2)
-        cost = np.abs(query[lo : hi + 1] - padded[:, k - hi : k - lo + 1][:, ::-1])
+        cost = np.abs(query[lo : hi + 1] - refs[:, k - hi : k - lo + 1][:, ::-1])
         if k == 0:
             d0[:, cur] = cost
             s0[:, cur] = cost * cost
@@ -115,10 +123,7 @@ def _dtw(query: np.ndarray, refs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
 
 
 def _znorm(a: np.ndarray) -> np.ndarray:
-    std = float(np.std(a))
-    if std == 0.0:
-        return a - np.mean(a)
-    return (a - np.mean(a)) / std
+    return (a - np.mean(a)) / (np.std(a) or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,13 @@ class FingerprintEntry:
     trace: MetricTrace
 
 
+class _Refs(NamedTuple):  # one metric's references in database order, and their period
+    labels: tuple[str, ...]
+    matrix: np.ndarray
+    lengths: tuple[int, ...]
+    period_s: float
+
+
 @dataclass(frozen=True)
 class FingerprintDb:
     """Labeled reference traces plus the rejection thresholds."""
@@ -142,6 +154,7 @@ class FingerprintDb:
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD
     metric_thresholds: Mapping[str, float] = field(default_factory=dict)
     source_session_ids: tuple[str, ...] = ()
+    _refs: Mapping[MetricKind, _Refs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # an infinite threshold would never reject a session
@@ -161,6 +174,14 @@ class FingerprintDb:
             for kind in self.metrics_used:
                 if (label, kind) not in have:
                     raise ValueError(f"no entry for ({label}, {kind.name})")
+        refs = {}
+        for kind in dict.fromkeys(e.metric for e in entries):
+            group = [e for e in entries if e.metric == kind]
+            if len(periods := sorted({fmt(e.trace.period_s) for e in group})) > 1:
+                raise PeriodMismatch(f"references for {kind.name} mix periods {periods}")
+            names, samples = zip(*((e.app_label, e.trace.samples) for e in group))
+            refs[kind] = _Refs(names, *_pad(samples), group[0].trace.period_s)
+        object.__setattr__(self, "_refs", refs)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "metrics_used", frozenset(self.metrics_used))
         object.__setattr__(self, "metric_thresholds", dict(self.metric_thresholds))
@@ -211,9 +232,9 @@ def build_fingerprint_db(
         raise ValueError("metrics must be non-empty")
     by_app: dict[str, list[SessionRecord]] = {}
     for record in labeled:
-        if record.app_label is None:
-            continue
-        if all(kind in record.traces for kind in metrics):
+        if record.app_label == UNKNOWN:
+            raise ParseError(f"session {record.session_id}: label {UNKNOWN!r} is reserved")
+        if record.app_label is not None and all(kind in record.traces for kind in metrics):
             by_app.setdefault(record.app_label, []).append(record)
     if not by_app:
         raise InsufficientReferences("no labeled sessions carry all requested metrics")
@@ -246,24 +267,23 @@ def identify_single(
 ) -> np.ndarray:
     """Exact distances from one trace to every same-metric reference, in
     database order."""
-    refs = [e for e in db.entries if e.metric == trace.metric]
-    if not refs:
+    block = db._refs.get(trace.metric)
+    if block is None:
         raise NoReferenceForMetric(f"database has no references for {trace.metric.name}")
-    for entry in refs:
-        if fmt(entry.trace.period_s) != fmt(trace.period_s):
-            raise PeriodMismatch(
-                f"query period {trace.period_s} != reference period "
-                f"{entry.trace.period_s} for {trace.metric.name}"
-            )
-    qa = np.asarray(trace.samples, dtype=float)
-    ras = [np.asarray(e.trace.samples, dtype=float) for e in refs]
+    if fmt(block.period_s) != fmt(trace.period_s):
+        raise PeriodMismatch(
+            f"query period {trace.period_s} != reference period "
+            f"{block.period_s} for {trace.metric.name}"
+        )
+    qa, refs, lengths = trace.samples, block.matrix, block.lengths
     if znorm:
-        qa, ras = _znorm(qa), [_znorm(ra) for ra in ras]
+        qa, (refs, lengths) = _znorm(qa), _pad([_znorm(row[:n]) for row, n in zip(refs, lengths)])
     if align == "dtw":
-        return _dtw(qa, ras)[1]
+        return _dtw(qa, refs, lengths)[1]
     if align == "truncate":
         # ablation variant: chop both to the common length, no warping
-        return np.array([np.linalg.norm(qa[: len(ra)] - ra[: len(qa)]) for ra in ras])
+        cut = np.minimum(lengths, len(qa))
+        return np.array([np.linalg.norm(qa[:c] - row[:c]) for row, c in zip(refs, cut)])
     raise ValueError(f"unknown alignment {align!r}")
 
 
@@ -309,10 +329,9 @@ def _decide(rows: Mapping[MetricKind, np.ndarray], db: FingerprintDb) -> Identif
     per_metric: dict[MetricKind, tuple[str, float]] = {}
     votes: dict[str, int] = {}
     for kind, row in rows.items():
-        labels = [e.app_label for e in db.entries if e.metric == kind]
         nearest = int(np.argmin(row))
         dist = float(row[nearest])
-        label = UNKNOWN if dist > db.threshold_for(kind) else labels[nearest]
+        label = UNKNOWN if dist > db.threshold_for(kind) else db._refs[kind].labels[nearest]
         per_metric[kind] = (label, dist)
         if label != UNKNOWN:
             votes[label] = votes.get(label, 0) + 1

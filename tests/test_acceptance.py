@@ -22,7 +22,7 @@ from vmsight.degrade import (
     profiles_for_templates,
 )
 from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
-from vmsight.identify import UNKNOWN, _dtw, build_fingerprint_db, identify
+from vmsight.identify import UNKNOWN, _dtw, _pad, build_fingerprint_db, identify
 from vmsight.neural import (
     TrainConfig,
     _activations,
@@ -89,7 +89,7 @@ def test_criterion_01_dtw_oracle_equivalence():
         # each trace against itself and every later one, in one kernel call
         n = 0
         for a, p in enumerate(traces):
-            costs, _ = _dtw(np.array(p), [np.array(q) for q in traces[a:]])
+            costs, _ = _dtw(np.array(p), *_pad([np.array(q) for q in traces[a:]]))
             for q, got in zip(traces[a:], costs):
                 want = brute_force_dtw_cost(p, q)
                 assert got == want, (p, q, got, want)
@@ -111,7 +111,7 @@ def test_criterion_01_dtw_oracle_equivalence():
     for _ in range(400):
         p = rng.integers(0, 4, 6).astype(float)
         q = rng.integers(0, 4, int(rng.integers(2, 7))).astype(float)
-        got = _dtw(p, [q])[0][0]
+        got = _dtw(p, *_pad([q]))[0][0]
         assert got == brute_force_dtw_cost(list(p), list(q))
         checked += 1
     report(1, "DTW oracle equivalence", True, f"{checked} pairs, exact")

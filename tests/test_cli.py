@@ -167,6 +167,19 @@ class TestFingerprint:
         assert err.startswith("ParseError: corpus.jsonl:1: ")
         assert "number too large for a float" in err
 
+    def test_reserved_label_is_a_parse_error(self, capsys, workspace, tmp_path):
+        first, *rest = open(workspace["corpus"]).read().splitlines()
+        obj = json.loads(first)
+        obj["app_label"] = "unknown"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([json.dumps(obj), *rest]) + "\n")
+        code, _, err = run(
+            capsys, "fingerprint", "--corpus", str(corpus), "--out", str(tmp_path / "db")
+        )
+        assert code == 1
+        assert err.startswith(f"ParseError: session {obj['session_id']}: ")
+        assert "reserved" in err and "Traceback" not in err
+
 
 class TestIdentify:
     def test_fingerprinted_session_identified(self, capsys, workspace):

@@ -56,9 +56,9 @@ class TestAblation:
         dtw = module._dtw
         columns = []
 
-        def counting(query, refs):
+        def counting(query, refs, lengths):
             columns.append(len(refs))
-            return dtw(query, refs)
+            return dtw(query, refs, lengths)
 
         monkeypatch.setattr(module, "_dtw", counting)
         result = run_ablation_dtw(id_corpus, [1, 2], min_test_sessions=100)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import json
 import math
 import os
 from pathlib import Path
@@ -13,6 +15,7 @@ from vmsight.errors import (
     InsufficientReferences,
     NoReferenceForMetric,
     NoUsableMetrics,
+    ParseError,
     PeriodMismatch,
     TooShort,
 )
@@ -21,6 +24,7 @@ from vmsight.identify import (
     FingerprintDb,
     FingerprintEntry,
     _dtw,
+    _pad,
     build_fingerprint_db,
     identify,
     identify_single,
@@ -57,7 +61,7 @@ short_traces = st.lists(
 
 def dtw(p, *refs):
     """The kernel's (costs, distances) for query p against refs."""
-    return _dtw(np.asarray(p, dtype=float), [np.asarray(r, dtype=float) for r in refs])
+    return _dtw(np.asarray(p, dtype=float), *_pad([np.asarray(r, dtype=float) for r in refs]))
 
 
 def cost(p, q):
@@ -176,7 +180,7 @@ class TestIdentifySingle:
         query = rng.uniform(0, 100, 8)
         refs = [t.samples for _, t in entries if t.metric == CPU_UTIL]
         row = identify_single(trace(query), db)
-        assert np.array_equal(row, _dtw(query, refs)[1])
+        assert np.array_equal(row, _dtw(query, *_pad(refs))[1])
 
     def test_byte_identical_trace_wins_with_zero_distance(self):
         ref = trace([10, 50, 10, 50])
@@ -193,6 +197,26 @@ class TestIdentifySingle:
         db = toy_db([("a", trace([1, 2, 3]))])
         with pytest.raises(PeriodMismatch):
             identify_single(trace([1, 2, 3], period=2.0), db)
+
+    def test_references_built_once_and_read_only(self, monkeypatch):
+        module = importlib.import_module("vmsight.identify")  # the package's identify is a function
+        seen = []
+        kernel = module._dtw
+
+        def spy(query, *block):
+            seen.append(block)
+            return kernel(query, *block)
+
+        monkeypatch.setattr(module, "_dtw", spy)
+        db = toy_db([("a", trace([1, 2, 3])), ("b", trace([3, 2, 1, 0]))])
+        for _ in range(2):
+            identify({CPU_UTIL: trace([1, 2, 2])}, db)
+        (first_refs, first_lengths), (refs, lengths) = seen
+        assert refs is first_refs and lengths is first_lengths
+        with pytest.raises(ValueError):
+            refs[0, 0] = 9.0
+        with pytest.raises(TypeError):
+            lengths[0] = 9
 
     def test_no_reference_for_metric(self):
         db = toy_db([("a", trace([1, 2, 3]))])
@@ -393,6 +417,19 @@ class TestBuildDb:
     def test_reserved_label_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             toy_db([(UNKNOWN, trace([1, 2, 3]))])
+
+    def test_mixed_periods_refused(self):
+        with pytest.raises(PeriodMismatch, match="cpu_util_pct"):
+            toy_db([("a", trace([1, 2, 3])), ("b", trace([1, 2, 3], period=2.0))])
+
+    def test_mixed_periods_on_load_are_a_parse_error(self, tmp_path):
+        sessions = self._sessions("ab", 1)
+        save_fingerprint_db(build_fingerprint_db(sessions, [CPU_UTIL], 1), str(tmp_path))
+        index = json.loads((tmp_path / "db.json").read_text())
+        index["entries"][1]["period_s"] = 2.0
+        (tmp_path / "db.json").write_text(json.dumps(index))
+        with pytest.raises(ParseError, match="^db.json: references for cpu_util_pct mix periods"):
+            load_fingerprint_db(str(tmp_path))
 
 
 def test_only_identify_single_calls_dtw():

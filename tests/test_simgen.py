@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vmsight.errors import ConfigInvalid, UnknownTemplate
-from vmsight.identify import _dtw
+from vmsight.identify import _dtw, _pad
 from vmsight.select import Target, rank_metrics
 from vmsight.simgen import (
     Constant,
@@ -190,7 +190,7 @@ class TestGroundTruth:
 
 
 def _dtw_distance(a, b):
-    return float(_dtw(a.samples, [b.samples])[1][0])
+    return float(_dtw(a.samples, *_pad([b.samples]))[1][0])
 
 
 class TestDistinctness:

@@ -317,10 +317,11 @@ def jsonl_lines(draw) -> tuple[bytes, bool]:
     clean = draw(st.booleans())
     ok = []
 
-    def number() -> str:
+    def number(nullable: bool = False) -> str:
         if not clean and draw(st.integers(0, 9)) == 0:
-            ok.append(False)
-            return draw(not_numbers)
+            token = draw(not_numbers)
+            ok.append(nullable and token == "null")  # an optional level may be null
+            return token
         token = draw(number_tokens)
         ok.append(_on_exact_path(token))
         return token
@@ -345,8 +346,8 @@ def jsonl_lines(draw) -> tuple[bytes, bool]:
         "session_id": string(),
         "app_label": "null" if draw(st.booleans()) else string(),
         "period_s": draw(st.sampled_from(["1.0", "0.5", "2"])),
-        "workload_level": "null" if draw(st.booleans()) else number(),
-        "performance": "null" if draw(st.booleans()) else number(),
+        "workload_level": "null" if draw(st.booleans()) else number(nullable=True),
+        "performance": "null" if draw(st.booleans()) else number(nullable=True),
         "interference_level": draw(st.sampled_from(["null", "0", "-0", "0.25", "1"])),
         "traces": "{" + traces + ws() + "}",
     }
