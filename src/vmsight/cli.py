@@ -93,6 +93,8 @@ _BOUNDS = {
     "jobs": (int, "[1, inf)"),
     "min_trace_len": (int, "[0, inf)"),
     "outsider": (int, "[0, inf)"),
+    "isolated": (int, "[0, inf)"),
+    "sessions": (int, "[1, inf)"),
     "refs_per_app": (int, "[1, inf)"),
     "max_epochs": (int, "[1, inf)"),
     "queries": (int, "[1, inf)"),

@@ -74,51 +74,43 @@ def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
 def _dtw(query: np.ndarray, refs: np.ndarray, lengths: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Exact DTW of one query against several references in one pass.
 
-    Row i indexes the query, column j a reference.  Each cell carries the
-    accumulated cost D = |query_i - ref_j| + min(D of its three predecessors)
-    and the squared distance S along the predecessor a traceback would pick:
-    the first minimum in the order diagonal, i-1, j-1.  Returns, per
+    Row i indexes the query, column j a reference.  Each cell carries a
+    state pair: the accumulated cost D = |query_i - ref_j| + D of its
+    predecessor, and the squared distance S = (query_i - ref_j)^2 + S of the
+    same predecessor.  The predecessor is the one a traceback would pick: the
+    first minimum of D in the order diagonal, i-1, j-1.  Returns, per
     reference, D at the last cell (the L1 optimum) and sqrt(S) there (the
     Euclidean distance between the traces warped along that path).
 
     The cells of one anti-diagonal depend only on the two before it, so a
-    diagonal is one batched update over every reference.  Diagonal buffers
-    hold row i at index i + 1; index 0 stands for row -1 and stays inf, as
-    do rows a diagonal has not reached yet.  ``refs`` and ``lengths`` are the
-    references as ``_pad`` returns them; padded cells never feed a real one.
+    diagonal is one batched update over every reference.  A diagonal's state
+    is one (2, references, m + 1) array, D in row 0 and S in row 1, so that
+    choosing a predecessor moves both at once.  Row i sits at index i + 1;
+    index 0 stands for row -1 and holds inf, as do rows a diagonal has not
+    reached yet, except that it holds 0 as the first cell's diagonal
+    predecessor until the first diagonal is done.  ``refs`` and ``lengths``
+    are the references as ``_pad`` returns them; padded cells never feed a
+    real one, and reference r ends at row m - 1 of diagonal m + n_r - 2.
     """
     m = query.shape[0]
     n = refs.shape[1]
-    # reference r ends at row m-1 of diagonal m + n_r - 2
-    finish: dict[int, list[int]] = {}
-    for r, length in enumerate(lengths):
-        finish.setdefault(m + length - 2, []).append(r)
-    costs = np.empty(len(refs))
-    sq = np.empty(len(refs))
-    d2, d1, d0 = (np.full((len(refs), m + 1), np.inf) for _ in range(3))
-    s2, s1, s0 = (np.full((len(refs), m + 1), np.inf) for _ in range(3))
+    a2, a1, a0 = (np.full((2, len(refs), m + 1), np.inf) for _ in range(3))
+    a2[:, :, 0] = 0.0  # seeds cell (0, 0): D and S start at 0
+    last_row = np.empty((2, m + n - 1, len(refs)))  # each diagonal's row m - 1
     for k in range(m + n - 1):
         lo = max(0, k - n + 1)
         hi = min(k, m - 1)
         cur = slice(lo + 1, hi + 2)
+        best = a2[:, :, lo : hi + 1]  # diagonal, then i-1, then j-1
+        for pred in (a1[:, :, lo : hi + 1], a1[:, :, cur]):
+            best = np.where(pred[0] < best[0], pred, best)  # strict: ties keep the earlier move
         cost = np.abs(query[lo : hi + 1] - refs[:, k - hi : k - lo + 1][:, ::-1])
-        if k == 0:
-            d0[:, cur] = cost
-            s0[:, cur] = cost * cost
-        else:
-            best, s = d2[:, lo : hi + 1], s2[:, lo : hi + 1]  # diagonal
-            up = d1[:, lo : hi + 1] < best  # strict: ties keep the earlier move
-            best = np.where(up, d1[:, lo : hi + 1], best)
-            s = np.where(up, s1[:, lo : hi + 1], s)
-            left = d1[:, cur] < best
-            best = np.where(left, d1[:, cur], best)
-            s = np.where(left, s1[:, cur], s)
-            d0[:, cur] = cost + best
-            s0[:, cur] = cost * cost + s
-        for r in finish.get(k, ()):
-            costs[r], sq[r] = d0[r, m], s0[r, m]
-        d2, d1, d0 = d1, d0, d2
-        s2, s1, s0 = s1, s0, s2
+        np.add(best[0], cost, out=a0[0, :, cur])
+        np.add(best[1], cost * cost, out=a0[1, :, cur])
+        last_row[:, k] = a0[:, :, m]
+        a2[:, :, 0] = np.inf  # drop the first cell's seed once it is read
+        a2, a1, a0 = a1, a0, a2
+    costs, sq = last_row[:, m + np.asarray(lengths) - 2, np.arange(len(refs))]
     return costs, np.sqrt(sq)
 
 

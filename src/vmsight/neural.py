@@ -31,6 +31,7 @@ from .errors import (
 )
 from .select import CorrelationReport, Target, trace_summary
 from .tracemodel import MetricKind, SessionRecord, metric_by_name, read_json, write_json
+from .tracemodel import _num, _samples
 
 # Levenberg-Marquardt damping: its start, its growth on a rejected step, its
 # shrink on an accepted one, and the cap past which training gives up
@@ -424,7 +425,6 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
     best_theta = theta.copy()
     best_val = val_error(layers)
     patience = EARLY_STOP_PATIENCE
-    accepted_ever = False
     epochs_run = 0
 
     for _ in range(cfg.max_epochs):
@@ -433,7 +433,6 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
         if float(np.max(np.abs(grad))) < _GRAD_TOL:
             break
         hess = jac.T @ jac
-        accepted = False
         while lam <= LAMBDA_CAP:
             try:
                 delta = np.linalg.solve(hess + lam * eye, grad)
@@ -444,12 +443,10 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
             if math.isfinite(step[-1]) and step[-1] < sse:
                 theta, layers, acts, r, sse = step
                 lam = max(lam * LAMBDA_DOWN, 1e-12)
-                accepted = True
-                accepted_ever = True
                 break
             lam *= LAMBDA_UP
-        if not accepted:
-            if not accepted_ever:
+        else:  # damping ran out without an accepted step
+            if not epochs_run:
                 raise Diverged(f"damping exceeded {LAMBDA_CAP:g} without an accepted step")
             break
         epochs_run += 1
@@ -537,34 +534,37 @@ def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
     if [k.category.value for k in metrics] != [m["category"] for m in obj["input_metrics"]]:
         raise ValueError("input_metrics: a category does not match its metric name")
     layers = tuple(
-        (
-            np.asarray(l["weights"], dtype=float).reshape(l["shape"]),
-            np.asarray(l["bias"], dtype=float),
-        )
-        for l in obj["layers"]
+        (_samples(l["weights"], f"layer {i}: weights").reshape(l["shape"]),
+         _samples(l["bias"], f"layer {i}: bias"))
+        for i, l in enumerate(obj["layers"])
     )
+    norm, out = obj["input_norm"], obj["output_norm"]
     model = MlpModel(
         purpose=Purpose(obj["purpose"]),
         input_metrics=metrics,
         layers=layers,
-        input_norm=(
-            np.asarray(obj["input_norm"]["mean"], dtype=float),
-            np.asarray(obj["input_norm"]["std"], dtype=float),
-        ),
-        output_norm=(obj["output_norm"]["mean"], obj["output_norm"]["std"]),
-        rng_seed=int(obj["rng_seed"]),
+        input_norm=tuple(_samples(norm[k], f"input_norm: {k}") for k in ("mean", "std")),
+        output_norm=tuple(_num(out[k], f"output_norm: {k}") for k in ("mean", "std")),
+        rng_seed=_integer(obj["rng_seed"], "rng_seed"),
     )
     report = None
     if obj.get("fit_report"):
         fr = obj["fit_report"]
         report = FitReport(
             purpose=Purpose(fr["purpose"]),
-            errors={k: dict(v) for k, v in fr["errors"].items()},
-            epochs_run=int(fr["epochs_run"]),
-            final_lambda=float(fr["final_lambda"]),
+            errors={split: {k: _num(v, f"fit_report: errors: {split}: {k}") for k, v in e.items()}
+                    for split, e in fr["errors"].items()},
+            epochs_run=_integer(fr["epochs_run"], "fit_report: epochs_run"),
+            final_lambda=_num(fr["final_lambda"], "fit_report: final_lambda"),
             split_ids={k: tuple(v) for k, v in fr["split_ids"].items()},
         )
     return model, report
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:  # bool and float are refused
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def save_model(model: MlpModel, path: str, report: Optional[FitReport] = None) -> None:

@@ -525,6 +525,15 @@ class TestPredict:
             ),
         ]
         + [
+            pytest.param(_edit_model(lambda obj: obj["layers"][0].update(
+                weights=["0.12", *obj["layers"][0]["weights"][1:]])), id="weight-string"),
+            pytest.param(_edit_model(lambda obj: obj["layers"][0].update(
+                bias=[True, *obj["layers"][0]["bias"][1:]])), id="bias-bool"),
+            pytest.param(_edit_model(lambda obj: obj.update(rng_seed=3.9)), id="rng-seed-float"),
+            pytest.param(_edit_model(lambda obj: obj["fit_report"].update(final_lambda="0.5")),
+                         id="final-lambda-string"),
+        ]
+        + [
             pytest.param(_set_norm(norm, key, value), id=f"{norm}-{key}-{value}")
             for norm, key, value in [
                 ("input_norm", "std", float("nan")),
@@ -695,6 +704,21 @@ class TestConfigFile:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith(f"ConfigInvalid: --{key} is required")
+
+    @pytest.mark.parametrize("flag", ["--isolated", "--sessions"])
+    def test_simulate_count_out_of_range_is_reported_before_any_session(
+        self, capsys, monkeypatch, tmp_path, flag
+    ):
+        def called(*args, **kwargs):
+            raise AssertionError("sessions generated before the flags were checked")
+
+        monkeypatch.setattr(simgen, "generate", called)
+        monkeypatch.setattr(simgen, "generate_isolated", called)
+        value = "-1" if flag == "--isolated" else "0"
+        code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "c.jsonl"), flag, value)
+        assert code == 1
+        assert err.startswith(f"ConfigInvalid: {flag} ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -909,6 +933,8 @@ BOUNDED = {
     "--jobs": (int, lambda v: v >= 1),
     "--min-trace-len": (int, lambda v: v >= 0),
     "--outsider": (int, lambda v: v >= 0),
+    "--isolated": (int, lambda v: v >= 0),
+    "--sessions": (int, lambda v: v >= 1),
     "--refs-per-app": (int, lambda v: v >= 1),
     "--threshold": (float, lambda v: v > 0),
     "--amp-gain": (float, lambda v: v > 0),
@@ -923,7 +949,8 @@ LISTS = {"--hours": (float, lambda v: True), "--ref-counts": (int, lambda v: Tru
 # cheap values each flag accepts
 VALID = {
     "--seed": ["0", "7", BIG], "--jobs": ["1", "2"], "--min-trace-len": ["0", "60"],
-    "--outsider": ["0", "1"], "--refs-per-app": ["1", "4", BIG], "--threshold": ["0.5", "1e300"],
+    "--outsider": ["0", "1"], "--isolated": ["0", "1"], "--sessions": ["1", "2"],
+    "--refs-per-app": ["1", "4", BIG], "--threshold": ["0.5", "1e300"],
     "--amp-gain": ["0.5", "1"], "--threshold-corr": ["0", "0.3", "1"], "--hours": ["10,20"],
     "--ref-counts": ["1,4"], "--hidden-grid": ["8", "16x8", "4,8x8"],
     "--threshold-dtw": ["cpu_util_pct=2.5"], "--max-epochs": ["1", "200"],
@@ -932,11 +959,11 @@ VALID = {
 _INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight/db"],
            "models": ["--models", "/nonexistent/vmsight/models"],
            "out": ["--out", "/nonexistent/vmsight/out"]}
-# each subcommand's argv, which reads only missing paths or simulates at most
-# two 10 s sessions, and its numeric flags
+# each subcommand's argv, which reads only missing paths or simulates a few
+# 10 s sessions, and its numeric flags
 COMMANDS = {
     "simulate": (["simulate", "--sessions", "1", "--duration-s", "10"],
-                 ["--seed", "--amp-gain", "--outsider"]),
+                 ["--seed", "--amp-gain", "--outsider", "--isolated", "--sessions"]),
     "fingerprint": (["fingerprint", *_INPUTS["corpus"], *_INPUTS["out"]],
                     ["--refs-per-app", "--threshold", "--threshold-dtw"]),
     "identify": (["identify", *_INPUTS["corpus"], *_INPUTS["db"]],

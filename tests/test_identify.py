@@ -162,6 +162,24 @@ class TestWarpedDistance:
                 assert got_cost == want_cost
                 assert got_dist == pytest.approx(want_dist, rel=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reference_row_does_not_depend_on_its_batch(self, data):
+        # a reference shorter than the query ends on an earlier diagonal, and
+        # the padded cells of one row never feed a real cell of another
+        values = st.integers(0, 3).map(float) | st.floats(-50, 50)
+        query = data.draw(st.lists(values, min_size=3, max_size=10), label="query")
+        m = len(query)
+        short = data.draw(st.lists(values, min_size=2, max_size=m - 1), label="short")
+        long = data.draw(st.lists(values, min_size=m + 1, max_size=2 * m), label="long")
+        extra = data.draw(st.lists(st.lists(values, min_size=2, max_size=2 * m), max_size=3),
+                          label="extra")
+        refs = data.draw(st.permutations([short, long, *extra]), label="refs")
+        batch = dtw(query, *refs)
+        for r, ref in enumerate(refs):
+            for got, alone in zip(batch, dtw(query, ref)):
+                assert got[r : r + 1].view(np.int64) == alone.view(np.int64)
+
 
 def nearest(query, db, **kw):
     """(label, distance) of a one-metric session's only per-metric result."""
