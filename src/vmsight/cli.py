@@ -102,9 +102,14 @@ _BOUNDS = {
     "threshold": (float, "(0, inf)"),
     "amp_gain": (float, "(0, inf)"),
     "threshold_corr": (float, "[0, 1]"),
+    "n_vms": (int, "[1, inf)"),
+    "duration_s": (float, "(0, inf)"),
+    "period_s": (float, "(0, inf)"),
+    "noise": (float, "[0, inf)"),
+    "perf_noise": (float, "[0, inf)"),
 }
-# the comma-separated number lists and the type of their items
-_LISTS = {"hours": float, "ref_counts": int}
+# the comma-separated number lists: the type of their items and their interval
+_LISTS = {"hours": (float, "(0, inf)"), "ref_counts": (int, "[1, inf)")}
 # the paths each subcommand (or evaluate experiment) needs, in the order it asks for them
 _PATHS = {
     "simulate": ("out",), "fingerprint": ("corpus", "out"), "identify": ("corpus", "db"),
@@ -134,17 +139,19 @@ def _within(number, interval: str) -> bool:
     return above and (number < high if interval[-1] == ")" else number <= high)
 
 
+def _metric(name: str, flag: str) -> tracemodel.MetricKind:
+    if name not in tracemodel.STANDARD_METRICS:
+        raise ConfigInvalid(f"{flag} takes metric names such as cpu_util_pct, got {name!r}")
+    return tracemodel.STANDARD_METRICS[name]
+
+
 def _parse_threshold_dtw(pairs) -> dict[str, float]:
     texts = {}
     for item in pairs or []:
         if "=" not in item:
             raise ConfigInvalid(f"--threshold-dtw expects <metric>=<value>, got {item!r}")
         name, _, value = item.partition("=")
-        try:
-            tracemodel.metric_by_name(name)
-        except ParseError as exc:
-            raise ConfigInvalid(f"--threshold-dtw {exc}") from None
-        texts[name] = value
+        texts[_metric(name, "--threshold-dtw").name] = value
     return {k: _number(v, f"--threshold-dtw {k}", float, "(0, inf)") for k, v in texts.items()}
 
 
@@ -157,7 +164,9 @@ def _settle(args: argparse.Namespace) -> None:
         if key in _BOUNDS:
             setattr(args, key, _number(value, flag, *_BOUNDS[key]))
         elif key in _LISTS:
-            setattr(args, key, [_number(item, flag, _LISTS[key]) for item in value.split(",")])
+            setattr(args, key, [_number(item, flag, *_LISTS[key]) for item in value.split(",")])
+        elif key == "metrics":
+            args.metrics = [_metric(name, flag) for name in value.split(",")]
         elif key == "hidden_grid":
             # an empty width names the whole item, so "4,x" reports 'x'
             args.hidden_grid = [
@@ -230,10 +239,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fingerprint(args) -> int:
     records = _load_sessions(args)
-    metrics = [tracemodel.metric_by_name(n) for n in args.metrics.split(",")]
     db = build_fingerprint_db(
         records,
-        metrics,
+        args.metrics,
         n_refs_per_app=args.refs_per_app,
         threshold=args.threshold,
         metric_thresholds=args.threshold_dtw,
@@ -287,14 +295,14 @@ def _cmd_select_metrics(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    records = _load_sessions(args)
     profiles = _load_profiles(args)
     if args.apps:
         wanted = set(args.apps.split(","))
         missing = wanted - set(profiles)
         if missing:
-            raise ConfigInvalid(f"unknown apps: {sorted(missing)}")
+            raise ConfigInvalid(f"--apps takes profiled apps, got {','.join(sorted(missing))!r}")
         profiles = {k: v for k, v in profiles.items() if k in wanted}
+    records = _load_sessions(args)
     cfg = neural.TrainConfig(max_epochs=args.max_epochs, rng_seed=args.seed)
     store = degrade.fit_models_for_corpus(
         records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid,

@@ -38,6 +38,9 @@ IDLE_MODE = 0
 # the longest trace a session may ask for: session_duration_s at the
 # slowest time stretch, in sampling periods
 MAX_TRACE_SAMPLES = 1_000_000
+# the most VMs a scenario may colocate: a scheduling round draws a mode for
+# each, as MAX_TRACE_SAMPLES bounds the samples drawn for a trace
+MAX_VMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +422,8 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_vms < 1:
-            raise ConfigInvalid("n_vms must be >= 1")
+        if not 1 <= self.n_vms <= MAX_VMS:
+            raise ConfigInvalid(f"n_vms must lie in [1, {MAX_VMS}], got {self.n_vms}")
         if not (0 < self.period_s < math.inf):
             raise ConfigInvalid("period_s must be positive")
         if not (4 * self.period_s <= self.session_duration_s < math.inf):
@@ -457,16 +460,23 @@ def render_session(
     traces = {}
     for kind in sorted(template.base_shapes, key=lambda k: k.name):
         shape = template.base_shapes[kind]
-        wave = render_waveform(shape.waveform, n, cfg.period_s, phase, stretch)
-        wave = wave * (1.0 + shape.workload_gain * w_norm)
-        wave = wave * (1.0 + shape.interference_gain * interference)
-        if cfg.noise_std > 0:
-            wave = wave + rng.normal(0.0, cfg.noise_std * shape.noise_ref, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            wave = render_waveform(shape.waveform, n, cfg.period_s, phase, stretch)
+            wave = wave * (1.0 + shape.workload_gain * w_norm)
+            wave = wave * (1.0 + shape.interference_gain * interference)
+            if cfg.noise_std > 0:
+                wave = wave + rng.normal(0.0, cfg.noise_std * shape.noise_ref, n)
         np.clip(wave, 0.0, None, out=wave)
+        if not np.isfinite(wave).all():
+            raise ConfigInvalid(f"{template.name}: {kind.name} overflows a float; "
+                                "lower the amplitude gain or the noise")
         traces[kind] = MetricTrace(kind, wave, period_s=cfg.period_s)
     perf = template.perf_fn(workload, interference)
     if cfg.perf_noise_std > 0:
         perf += perf * float(rng.normal(0.0, cfg.perf_noise_std))
+    if not math.isfinite(perf):
+        raise ConfigInvalid(f"{template.name}: performance overflows a float; "
+                            "lower the performance noise")
     return SessionRecord(
         session_id=session_id,
         traces=traces,

@@ -241,11 +241,23 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _repeated(names: list[str]) -> str:
+    """The first of ``names`` that occurs more than once."""
+    return next(n for n in names if names.count(n) > 1)
+
+
 def parse_json(data: bytes, where: str) -> Any:
-    """Decode UTF-8 ``data`` as one JSON document; any failure is a
-    ParseError naming ``where``."""
+    """Decode UTF-8 ``data`` as one JSON document; any failure, a key
+    repeated within an object included, is a ParseError naming ``where``."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            raise ParseError(f"{where}: repeated key {_repeated([k for k, _ in pairs])!r}")
+        return obj
+
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except (ValueError, RecursionError) as exc:
         # ValueError: bad JSON, bad UTF-8, or an int literal longer than
         # sys.get_int_max_str_digits(); RecursionError: nesting too deep
@@ -321,9 +333,10 @@ def read_trace_csv(path: str) -> tuple[list[MetricKind], np.ndarray]:
     """Read a file written by write_trace_csv: the metrics its header names,
     and its rows as floats, column 0 the time and column j the j-th metric.
 
-    Every row must have as many fields as the header, each a finite number,
-    and there must be at least two rows; otherwise ParseError naming the
-    file and, where there is one, the line.
+    The header must name each metric once, every row must have as many
+    fields as the header, each a finite number, and there must be at least
+    two rows; otherwise ParseError naming the file and, where there is one,
+    the line.
     """
     name = os.path.basename(path)
     try:
@@ -337,6 +350,8 @@ def read_trace_csv(path: str) -> tuple[list[MetricKind], np.ndarray]:
         kinds = [metric_by_name(c) for c in cols[1:]]
     except ParseError as exc:
         raise ParseError(f"{name}:1: {exc}") from None
+    if len(set(cols)) < len(cols):
+        raise ParseError(f"{name}:1: repeated column {_repeated(cols)!r}")
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -475,7 +490,7 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
     traces_obj = obj["traces"]
     if not isinstance(traces_obj, dict) or not traces_obj:
         raise ParseError(f"{where}: traces must be a non-empty object")
-    traces = {}
+    samples = {}
     for name, values in traces_obj.items():
         try:
             kind = metric_by_name(name)
@@ -483,9 +498,15 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
             raise ParseError(f"{where}: {exc}") from None
         if not isinstance(values, (list, np.ndarray)) or len(values) < 2:
             raise ParseError(f"{where}: trace {name!r} needs >= 2 samples")
-        samples = _samples(values, f"{where}: trace {name!r}")
-        traces[kind] = MetricTrace(kind, samples, period_s=period)
+        samples[kind] = _samples(values, f"{where}: trace {name!r}")
+    return _record(session_id, samples, period, labels, where)
+
+
+def _record(session_id: str, samples: dict, period: float, labels: dict, where: str):
+    """The SessionRecord of checked file fields, its traces copied from
+    ``samples``; what MetricTrace or SessionRecord refuses is a ParseError."""
     try:
+        traces = {kind: MetricTrace(kind, v, period_s=period) for kind, v in samples.items()}
         return SessionRecord(session_id=session_id, traces=traces, **labels)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -540,11 +561,11 @@ def _line_parser() -> Optional[Callable[[bytes], Optional[dict]]]:
 
 
 def _load_jsonl_file(path: str) -> list[SessionRecord]:
-    """The file's records in line order.  A line the C parser accepts still
-    goes through _record_from_obj; any line it declines, and any line whose
-    record fails, is parsed again by json, so errors come from one path."""
+    """The file's records in line order.  Each line is parsed once, by the C
+    parser or, where it declines the line, by json, and _record_from_obj
+    checks either object alike, so no record or error depends on the parser."""
     name = os.path.basename(path)
-    parse = _line_parser()
+    parse = _line_parser() or (lambda line: None)
     records = []
     with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -552,12 +573,7 @@ def _load_jsonl_file(path: str) -> list[SessionRecord]:
             if not line:
                 continue
             where = f"{name}:{lineno}"
-            record = None
-            if parse is not None:
-                with contextlib.suppress(Exception):
-                    obj = parse(line)
-                    record = obj and _record_from_obj(obj, where)
-            records.append(record or _record_from_obj(parse_json(line, where), where))
+            records.append(_record_from_obj(parse(line) or parse_json(line, where), where))
     return records
 
 
@@ -606,14 +622,8 @@ def _load_csv_session(csv_path: str) -> SessionRecord:
     period = float(steps[0])
     if period <= 0 or not np.allclose(steps, period, rtol=1e-6, atol=1e-9):
         raise ParseError(f"{session_id}.csv: time column is not uniformly spaced")
-    traces = {
-        kind: MetricTrace(kind, rows[:, j], period_s=period)
-        for j, kind in enumerate(kinds, start=1)
-    }
-    try:
-        return SessionRecord(session_id=session_id, traces=traces, **labels)
-    except ValueError as exc:
-        raise ParseError(f"{session_id}: {exc}") from exc
+    samples = {kind: rows[:, j] for j, kind in enumerate(kinds, start=1)}
+    return _record(session_id, samples, period, labels, session_id)
 
 
 # ---------------------------------------------------------------------------

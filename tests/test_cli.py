@@ -532,6 +532,15 @@ class TestPredict:
             pytest.param(_edit_model(lambda obj: obj.update(rng_seed=3.9)), id="rng-seed-float"),
             pytest.param(_edit_model(lambda obj: obj["fit_report"].update(final_lambda="0.5")),
                          id="final-lambda-string"),
+            # without its first layer, the next one expects the hidden width as input
+            pytest.param(_edit_model(lambda obj: obj["layers"].pop(0)), id="layer-chain"),
+            pytest.param(_edit_model(lambda obj: obj["layers"][-1].update(
+                shape=[2, obj["layers"][-1]["shape"][1]],
+                weights=obj["layers"][-1]["weights"] * 2, bias=obj["layers"][-1]["bias"] * 2)),
+                id="two-outputs"),
+            pytest.param(_edit_model(
+                lambda obj: [v.append(1.0) for v in obj["input_norm"].values()]),
+                id="input-norm-length"),
         ]
         + [
             pytest.param(_set_norm(norm, key, value), id=f"{norm}-{key}-{value}")
@@ -544,6 +553,8 @@ class TestPredict:
                 ("output_norm", "std", float("inf")),
                 ("output_norm", "mean", float("nan")),
                 ("output_norm", "mean", float("inf")),
+                ("input_norm", "std", 0.0),
+                ("output_norm", "std", 0.0),
             ]
         ],
     )
@@ -648,6 +659,13 @@ class TestConfigFile:
             pytest.param(["select-metrics", "--app", "web_serving", "--threshold-corr", "nan"],
                          id="threshold-corr-nan"),
             pytest.param(["train", "--threshold-corr", "5"], id="threshold-corr-above-one"),
+            pytest.param(["simulate", "--n-vms", "0"], id="n-vms"),
+            pytest.param(["simulate", "--period-s", "0"], id="period-s"),
+            pytest.param(["simulate", "--noise", "-1"], id="noise"),
+            pytest.param(["simulate", "--perf-noise", "-0.5"], id="perf-noise"),
+            pytest.param(["simulate", "--duration-s", "0"], id="duration-s"),
+            pytest.param(["evaluate", "--experiment", "tradeoff", "--duration-s", "-1"],
+                         id="evaluate-duration-s"),
         ],
     )
     def test_bad_flag_value_is_config_invalid(self, capsys, workspace, tmp_path, argv):
@@ -670,6 +688,10 @@ class TestConfigFile:
             ["train", "--hidden-grid", "0"],
             ["train", "--max-epochs", "0"],
             ["evaluate", "--experiment", "timing", "--queries", "0"],
+            ["fingerprint", "--metrics", "cpu_util_pct,bogus"],
+            ["evaluate", "--experiment", "ablation", "--ref-counts", "0,1"],
+            ["evaluate", "--experiment", "tradeoff", "--hours", "-5"],
+            ["train", "--models", "/nonexistent/vmsight/models", "--apps", "bogus"],
         ],
     )
     def test_bad_flag_is_reported_before_any_file_is_read(self, capsys, argv):
@@ -734,6 +756,28 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", str(cfg_path), *argv)
         assert code == 1
         assert err.startswith("ConfigInvalid: --jobs ")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-vms", "1" + "0" * 23, "n_vms must lie in [1, 10000], got 1" + "0" * 23),
+            ("--amp-gain", "1e308", "overflows a float"),
+            ("--noise", "1e308", "overflows a float"),
+            ("--perf-noise", "1e308", "performance overflows a float"),
+        ],
+    )
+    def test_simulate_value_past_a_float_or_the_vm_cap_is_config_invalid(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        out = tmp_path / "c.jsonl"
+        # of the first 4 sessions, two run kv_store, whose performance near 4e4
+        # times any but a tiny noise draw at 1e308 overflows
+        code, _, err = run(capsys, "simulate", "--sessions", "4", "--duration-s", "10",
+                           flag, value, "--out", str(out))
+        assert code == 1
+        assert err.startswith("ConfigInvalid: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_replaces_built_in_default_and_flag_replaces_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -876,6 +920,22 @@ class TestBadFiles:
         assert code == 1
         assert err.startswith(f"{error}: ")
 
+    @pytest.mark.parametrize("native", [True, False], ids=["c-parser", "json"])
+    @pytest.mark.parametrize("command", ["fingerprint", "identify"])
+    def test_zero_period_names_the_line(self, capsys, monkeypatch, workspace, tmp_path,
+                                        command, native):
+        lines = open(workspace["corpus"]).read().splitlines()[:3]
+        lines[1] = re.sub(r'"period_s": [^,]+', '"period_s": 0', lines[1])
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        if not native:
+            monkeypatch.setattr(tracemodel, "_line_parser", lambda: None)
+        where = ["--out", str(tmp_path / "db")] if command == "fingerprint" else [
+            "--db", workspace["db"]]
+        code, _, err = run(capsys, command, "--corpus", str(corpus), *where)
+        assert code == 1
+        assert err == "ParseError: c.jsonl:2: period_s must be positive, got 0.0\n"
+
 
 class TestDeterminism:
     def test_train_jobs_writes_the_same_tree(self, capsys, workspace, monkeypatch):
@@ -942,9 +1002,14 @@ BOUNDED = {
     "--max-epochs": (int, lambda v: v >= 1),
     "--queries": (int, lambda v: v >= 1),
     "--min-test-sessions": (int, lambda v: v >= 1),
+    "--n-vms": (int, lambda v: v >= 1),
+    "--duration-s": (float, lambda v: v > 0),
+    "--period-s": (float, lambda v: v > 0),
+    "--noise": (float, lambda v: v >= 0),
+    "--perf-noise": (float, lambda v: v >= 0),
 }
 # every list flag, the type of its items and the values they accept
-LISTS = {"--hours": (float, lambda v: True), "--ref-counts": (int, lambda v: True),
+LISTS = {"--hours": (float, lambda v: v > 0), "--ref-counts": (int, lambda v: v >= 1),
          "--hidden-grid": (int, lambda v: v >= 1)}
 # cheap values each flag accepts
 VALID = {
@@ -955,6 +1020,8 @@ VALID = {
     "--ref-counts": ["1,4"], "--hidden-grid": ["8", "16x8", "4,8x8"],
     "--threshold-dtw": ["cpu_util_pct=2.5"], "--max-epochs": ["1", "200"],
     "--queries": ["1", "2000"], "--min-test-sessions": ["1", "100"],
+    "--n-vms": ["1", "5"], "--duration-s": ["10", "20"], "--period-s": ["1", "2"],
+    "--noise": ["0", "1"], "--perf-noise": ["0", "0.01"],
 }
 _INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight/db"],
            "models": ["--models", "/nonexistent/vmsight/models"],
@@ -963,7 +1030,8 @@ _INPUTS = {"corpus": ["--corpus", MISSING], "db": ["--db", "/nonexistent/vmsight
 # 10 s sessions, and its numeric flags
 COMMANDS = {
     "simulate": (["simulate", "--sessions", "1", "--duration-s", "10"],
-                 ["--seed", "--amp-gain", "--outsider", "--isolated", "--sessions"]),
+                 ["--seed", "--amp-gain", "--outsider", "--isolated", "--sessions", "--n-vms",
+                  "--duration-s", "--period-s", "--noise", "--perf-noise"]),
     "fingerprint": (["fingerprint", *_INPUTS["corpus"], *_INPUTS["out"]],
                     ["--refs-per-app", "--threshold", "--threshold-dtw"]),
     "identify": (["identify", *_INPUTS["corpus"], *_INPUTS["db"]],
@@ -978,7 +1046,7 @@ COMMANDS = {
         f"evaluate {experiment}": (
             ["evaluate", "--experiment", experiment, *_INPUTS["corpus"], *_INPUTS["models"]],
             ["--seed", "--hours", "--ref-counts", "--threshold-dtw", "--queries",
-             "--min-test-sessions"],
+             "--min-test-sessions", "--duration-s"],
         )
         for experiment in ("ablation", "tradeoff", "timing", "error-table")
     },

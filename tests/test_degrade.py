@@ -14,6 +14,7 @@ from vmsight.degrade import (
 )
 from vmsight.errors import (
     InsufficientData,
+    IoError,
     MissingModel,
     MissingProfile,
     UnknownApplication,
@@ -221,6 +222,12 @@ class TestPredictDegradation:
 
 
 class TestModelStoreIo:
+    def test_directory_without_models_is_io_error(self, tmp_path):
+        (tmp_path / "models" / "data_serving").mkdir(parents=True)
+        (tmp_path / "models" / "notes.txt").write_text("no model here\n")
+        with pytest.raises(IoError, match="no models found under"):
+            ModelStore.load(str(tmp_path / "models"))
+
     def test_save_load_round_trip(self, tmp_path, trained_store):
         trained_store.save(str(tmp_path / "models"))
         loaded = ModelStore.load(str(tmp_path / "models"))

@@ -5,6 +5,7 @@ from vmsight.errors import ConfigInvalid, UnknownTemplate
 from vmsight.identify import _dtw, _pad
 from vmsight.select import Target, rank_metrics
 from vmsight.simgen import (
+    MAX_VMS,
     Constant,
     Ramp,
     ScenarioConfig,
@@ -76,11 +77,31 @@ class TestScenarioConfig:
             {"session_duration_s": 1e9},
             {"period_s": 1e-9},
             {"session_duration_s": 9.5e5},
+            # over MAX_VMS, which no config is built with, so nothing is allocated
+            {"n_vms": MAX_VMS + 1},
+            {"n_vms": 10**23},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig(**kwargs)
+
+    def test_vm_cap_is_inclusive(self):
+        assert ScenarioConfig(n_vms=MAX_VMS).n_vms == MAX_VMS
+
+    @pytest.mark.parametrize(
+        "gain, cfg, message",
+        [
+            (1e308, ScenarioConfig(session_duration_s=10.0), "overflows a float"),
+            (1.0, ScenarioConfig(session_duration_s=10.0, noise_std=1e308), "overflows a float"),
+            (1.0, ScenarioConfig(session_duration_s=10.0, perf_noise_std=1e308),
+             "performance overflows a float"),
+        ],
+    )
+    def test_overflowing_session_is_config_invalid(self, gain, cfg, message):
+        template = outsider_template(amplitude_gain=gain)
+        with pytest.raises(ConfigInvalid, match=message):
+            render_session(template, cfg, "s", None, 0.5, np.random.default_rng(0))
 
 
 class TestGenerate:

@@ -352,7 +352,7 @@ def jsonl_lines(draw) -> tuple[bytes, bool]:
         "traces": "{" + traces + ws() + "}",
     }
     keys = draw(st.permutations(sorted(values)))
-    if not clean and draw(st.booleans()):  # a key twice: json keeps the last
+    if not clean and draw(st.booleans()):  # a key twice: a ParseError either way
         keys.append(draw(st.sampled_from(keys)))
         ok.append(False)
     tail = "" if clean else draw(st.sampled_from(["", " x", "{}", ","]))
@@ -389,6 +389,72 @@ class TestNativeParser:
                             lambda *args: declined.append(args) or parse_json(*args))
         assert load_corpus(path) == sorted(records, key=lambda r: r.session_id)
         assert declined == []
+
+
+GOOD_OBJ = {"session_id": "s", "app_label": None, "period_s": 1.0, "workload_level": None,
+            "performance": None, "interference_level": None,
+            "traces": {"cpu_util_pct": [1.0, 2.0]}}
+
+
+def _line(**fields) -> str:
+    return json.dumps({**GOOD_OBJ, **fields})
+
+
+class TestRecordRefusals:
+    """Each refusal of a record, read by the C parser and by json alone: the
+    same ParseError naming the file and the first bad line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "expected an object"),
+            (json.dumps({**GOOD_OBJ, "extra": 1}), "unknown keys ['extra']"),
+            (_line(app_label=5), "app_label must be a string or null"),
+            (_line(session_id=""), "session_id must be a non-empty string"),
+            (_line(traces={}), "traces must be a non-empty object"),
+            (_line(traces={"cpu_util_pct": [1.0]}), "trace 'cpu_util_pct' needs >= 2 samples"),
+            (_line(period_s=0), "period_s must be positive, got 0.0"),
+            (_line(period_s=-1), "period_s must be positive, got -1.0"),
+            (_line(interference_level=1.5), "interference_level must lie in [0, 1]"),
+            (_line()[:-2] + ', "cpu_util_pct": [3.0, 4.0]}}', "repeated key 'cpu_util_pct'"),
+            (_line()[:-1] + ', "period_s": 2.0}', "repeated key 'period_s'"),
+        ],
+        ids=["not-object", "unknown-key", "app-label-number", "empty-session-id",
+             "empty-traces", "one-sample", "period-zero", "period-negative",
+             "interference-above-one", "repeated-trace", "repeated-key"],
+    )
+    def test_bad_record_is_a_parse_error_on_both_parsers(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        # the second bad line is never reached: the first one fails the load
+        path.write_text("\n".join([_line(session_id="ok"), line, line]) + "\n")
+        assert _load_both_ways(str(path)) == [f"c.jsonl:2: {message}"] * 2
+
+    def test_each_line_is_parsed_once_and_checked_once(self, tmp_path, monkeypatch):
+        calls = {"c": 0, "json": 0, "record": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        native = tracemodel._line_parser()
+        monkeypatch.setattr(tracemodel, "_line_parser", lambda: counting("c", native))
+        monkeypatch.setattr(tracemodel, "parse_json", counting("json", tracemodel.parse_json))
+        monkeypatch.setattr(tracemodel, "_record_from_obj",
+                            counting("record", tracemodel._record_from_obj))
+        path = tmp_path / "c.jsonl"
+        # the second line has an escape, which the C parser declines
+        path.write_text(_line(session_id="a") + "\n" + _line(session_id="b\u00e9") + "\n")
+        assert len(load_corpus(str(path))) == 2
+        assert calls == {"c": 2, "json": 1, "record": 2}
+        # a line the C parser accepts but whose record is refused
+        calls.update(c=0, json=0, record=0)
+        path.write_text(_line(session_id="a") + "\n" + _line(session_id="z", period_s=0) + "\n")
+        with pytest.raises(ParseError, match=r"^c\.jsonl:2: period_s must be positive"):
+            load_corpus(str(path))
+        assert calls == {"c": 2, "json": 0, "record": 2}
 
 
 def _midpoints(mantissa: int, exponent: int) -> list[float]:
@@ -606,6 +672,28 @@ class TestCsv:
             save_corpus([make_record("a"), bad], str(out), format="csv")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines.__setitem__(3, re.sub(r",[^,]*", ",nan", lines[3], count=1)),
+             r"^a\.csv:4: non-finite value 'nan'$"),
+            (lambda lines: lines.__setitem__(3, "2.5" + lines[3][lines[3].index(","):]),
+             r"^a\.csv: time column is not uniformly spaced$"),
+            (lambda lines: lines.__setitem__(0, lines[0] + ",cpu_util_pct"),
+             r"^a\.csv:1: repeated column 'cpu_util_pct'$"),
+        ],
+        ids=["non-finite", "uneven-time", "repeated-column"],
+    )
+    def test_csv_refusal_names_the_file(self, tmp_path, edit, message):
+        out = tmp_path / "corpus"
+        save_corpus([make_record("a", n=5)], str(out), format="csv")
+        csv = out / "a.csv"
+        lines = csv.read_text().splitlines()
+        edit(lines)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message):
+            load_corpus(str(out), format="csv")
+
     def test_csv_missing_sidecar(self, tmp_path):
         out = tmp_path / "corpus"
         save_corpus([make_record("a", n=5)], str(out), format="csv")
@@ -638,6 +726,13 @@ class TestCorpusApi:
         save_corpus(records, str(path))
         loaded = load_corpus(str(path))
         assert loaded == records
+
+    def test_directory_of_jsonl_files_loads_every_file(self, tmp_path):
+        save_corpus([make_record("sb"), make_record("sd")], str(tmp_path / "one.jsonl"))
+        save_corpus([make_record("sa"), make_record("sc")], str(tmp_path / "two.jsonl"))
+        (tmp_path / "notes.txt").write_text("not a corpus\n")
+        loaded = load_corpus(str(tmp_path))
+        assert loaded == [make_record(s) for s in ("sa", "sb", "sc", "sd")]
 
     def test_count_preserved_never_dropped(self, tmp_path):
         records = [make_record(f"s{i}") for i in range(7)]
