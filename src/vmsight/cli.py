@@ -58,12 +58,35 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# every bounded scalar setting, from a flag or the config file alike: its type,
+# the interval its value must lie in, and its built-in default
+_BOUNDS = {
+    "seed": (int, "[0, inf)", 0),
+    "jobs": (int, "[1, inf)", 1),
+    "min_trace_len": (int, "[0, inf)", 60),
+    "outsider": (int, "[0, inf)", 0),
+    "isolated": (int, "[0, inf)", 0),
+    "sessions": (int, "[1, inf)", 100),
+    "refs_per_app": (int, "[1, inf)", 4),
+    "max_epochs": (int, "[1, inf)", 200),
+    "queries": (int, f"[1, {evaluate.MAX_QUERIES}]", 2000),
+    "min_test_sessions": (int, "[1, inf)", 100),
+    "threshold": (float, "(0, inf)", DEFAULT_DISTANCE_THRESHOLD),
+    "amp_gain": (float, "(0, inf)", 1.0),
+    "threshold_corr": (float, "[0, 1]", select.DEFAULT_CORR_THRESHOLD),
+    "n_vms": (int, "[1, inf)", 5),
+    "duration_s": (float, "(0, inf)", 300.0),
+    "period_s": (float, "(0, inf)", 1.0),
+    "noise": (float, "[0, inf)", 1.0),
+    "perf_noise": (float, "[0, inf)", 0.01),
+}
+# the JSON value a config file may give a setting of each _BOUNDS type
+_JSON_TYPES = {int: (_is_int, "an integer"), float: (_is_number, "a number")}
 # every config key, the check its value must pass, and how a bad one is described
 _CONFIG_TYPES = {
     **{k: (lambda v: isinstance(v, str), "a string")
        for k in ("corpus", "db", "models", "profiles", "out")},
-    **{k: (_is_int, "an integer") for k in ("seed", "jobs", "min_trace_len")},
-    "threshold_corr": (_is_number, "a number"),
+    **{k: _JSON_TYPES[_BOUNDS[k][0]] for k in ("seed", "jobs", "min_trace_len", "threshold_corr")},
     "threshold_dtw": (
         lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
         "an object of metric -> number",
@@ -86,28 +109,6 @@ def _check_config(cfg) -> dict:
     return cfg
 
 
-# every bounded scalar setting, from a flag or the config file alike: its type
-# and the interval its value must lie in
-_BOUNDS = {
-    "seed": (int, "[0, inf)"),
-    "jobs": (int, "[1, inf)"),
-    "min_trace_len": (int, "[0, inf)"),
-    "outsider": (int, "[0, inf)"),
-    "isolated": (int, "[0, inf)"),
-    "sessions": (int, "[1, inf)"),
-    "refs_per_app": (int, "[1, inf)"),
-    "max_epochs": (int, "[1, inf)"),
-    "queries": (int, "[1, inf)"),
-    "min_test_sessions": (int, "[1, inf)"),
-    "threshold": (float, "(0, inf)"),
-    "amp_gain": (float, "(0, inf)"),
-    "threshold_corr": (float, "[0, 1]"),
-    "n_vms": (int, "[1, inf)"),
-    "duration_s": (float, "(0, inf)"),
-    "period_s": (float, "(0, inf)"),
-    "noise": (float, "[0, inf)"),
-    "perf_noise": (float, "[0, inf)"),
-}
 # the comma-separated number lists: the type of their items and their interval
 _LISTS = {"hours": (float, "(0, inf)"), "ref_counts": (int, "[1, inf)")}
 # the paths each subcommand (or evaluate experiment) needs, in the order it asks for them
@@ -162,7 +163,7 @@ def _settle(args: argparse.Namespace) -> None:
     for key, value in list(vars(args).items()):
         flag = "--" + key.replace("_", "-")
         if key in _BOUNDS:
-            setattr(args, key, _number(value, flag, *_BOUNDS[key]))
+            setattr(args, key, _number(value, flag, *_BOUNDS[key][:2]))
         elif key in _LISTS:
             setattr(args, key, [_number(item, flag, *_LISTS[key]) for item in value.split(",")])
         elif key == "metrics":
@@ -438,22 +439,20 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON on stdout")
 
+    def number(p, flag, **kwargs):
+        """Add an int or float flag, whose type and default are its _BOUNDS entry's."""
+        kind, _, default = _BOUNDS[flag[2:].replace("-", "_")]
+        p.add_argument(flag, type=kind, **{"default": default, **kwargs})
+
     p = sub.add_parser("simulate", help="generate a synthetic colocated-VM corpus")
     p.add_argument("--out", help="corpus file (jsonl) or directory (csv) to write")
-    p.add_argument("--seed", type=int, default=0)
+    number(p, "--seed")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p.add_argument("--sessions", type=int, default=100)
-    p.add_argument("--n-vms", type=int, default=5)
-    p.add_argument("--duration-s", type=float, default=300.0)
-    p.add_argument("--period-s", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--perf-noise", type=float, default=0.01)
-    p.add_argument("--amp-gain", type=float, default=1.0,
-                   help="rescale metric amplitudes (a 'new server' analogue)")
-    p.add_argument("--isolated", type=int, default=0,
-                   help="append N interference-free sessions per app")
-    p.add_argument("--outsider", type=int, default=0,
-                   help="append N sessions of an unfingerprinted application")
+    for flag in ("--sessions", "--n-vms", "--duration-s", "--period-s", "--noise", "--perf-noise"):
+        number(p, flag)
+    number(p, "--amp-gain", help="rescale metric amplitudes (a 'new server' analogue)")
+    number(p, "--isolated", help="append N interference-free sessions per app")
+    number(p, "--outsider", help="append N sessions of an unfingerprinted application")
     p.add_argument("--profiles-out", help="also write matching app profiles JSON")
     p.set_defaults(func=_cmd_simulate)
 
@@ -462,8 +461,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--out", help="fingerprint database directory to write")
     p.add_argument("--metrics", default=",".join(DEFAULT_FINGERPRINT_METRICS))
-    p.add_argument("--refs-per-app", type=int, default=4)
-    p.add_argument("--threshold", type=float, default=DEFAULT_DISTANCE_THRESHOLD)
+    number(p, "--refs-per-app")
+    number(p, "--threshold")
     p.add_argument("--threshold-dtw", action="append", metavar="METRIC=VALUE")
     p.set_defaults(func=_cmd_fingerprint)
 
@@ -473,32 +472,29 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--align", choices=["dtw", "truncate"], default="dtw")
     p.add_argument("--znorm", action="store_true",
                    help="z-normalize traces before matching")
-    p.add_argument("--min-trace-len", type=int, default=60, dest="min_trace_len")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    number(p, "--min-trace-len")
+    number(p, "--jobs", help=JOBS_HELP)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("select-metrics", help="rank metrics by target correlation")
     common(p)
     p.add_argument("--app", required=True)
     p.add_argument("--target", choices=["performance", "workload"], default="performance")
-    p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
-                   dest="threshold_corr")
+    number(p, "--threshold-corr")
     p.set_defaults(func=_cmd_select_metrics)
 
     # no abbreviations: a bare --hidden would otherwise mean --hidden-grid
     p = sub.add_parser("train", help="train per-application prediction nets", allow_abbrev=False)
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    number(p, "--seed")
     p.add_argument("--profiles", default="builtin", help="profiles JSON or 'builtin'")
     p.add_argument("--models", help="output directory for model files")
     p.add_argument("--apps", help="comma-separated subset of apps")
     p.add_argument("--hidden-grid", default="8",
                    help="hidden widths to search by validation error, e.g. 8, 16x8 or 4,8,16")
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--threshold-corr", type=float, default=select.DEFAULT_CORR_THRESHOLD,
-                   dest="threshold_corr")
-    p.add_argument("--jobs", type=int, default=usable_cpus(),
-                   help=JOBS_HELP + " (default: the usable CPUs)")
+    number(p, "--max-epochs")
+    number(p, "--threshold-corr")
+    number(p, "--jobs", default=usable_cpus(), help=JOBS_HELP + " (default: the usable CPUs)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict performance degradation per session")
@@ -506,22 +502,22 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--db")
     p.add_argument("--models")
     p.add_argument("--profiles", default="builtin")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    number(p, "--jobs", help=JOBS_HELP)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="run a reproducible experiment")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    number(p, "--seed")
     p.add_argument("--experiment", required=True,
                    choices=["ablation", "tradeoff", "timing", "error-table"])
     p.add_argument("--models")
     p.add_argument("--profiles", default="builtin")
-    p.add_argument("--ref-counts", default="1,4", dest="ref_counts")
+    p.add_argument("--ref-counts", default="1,4")
     p.add_argument("--threshold-dtw", action="append", metavar="METRIC=VALUE")
-    p.add_argument("--min-test-sessions", type=int, default=100)
+    number(p, "--min-test-sessions")
     p.add_argument("--hours", default="10,20,40,80")
-    p.add_argument("--duration-s", type=float, default=300.0)
-    p.add_argument("--queries", type=int, default=2000)
+    number(p, "--duration-s")
+    number(p, "--queries")
     p.add_argument("--app", default="data_serving")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -46,7 +46,7 @@ from .neural import (
 )
 from .parallel import parallel_map
 from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
-from .tracemodel import MetricKind, MetricTrace, SessionRecord, read_json, write_json
+from .tracemodel import MetricKind, MetricTrace, SessionRecord, fields_to_obj, read_json, write_json
 
 
 class Orientation(enum.Enum):
@@ -93,14 +93,7 @@ class DegradationReport:
     deg: float
 
     def to_obj(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "label": self.label,
-            "perf_pred": self.perf_pred,
-            "workload_pred": self.workload_pred,
-            "perf_base": self.perf_base,
-            "deg": self.deg,
-        }
+        return fields_to_obj(self)
 
 
 def reports_to_csv(reports: Sequence["DegradationReport"]) -> str:
@@ -376,17 +369,8 @@ def evaluate_degradation(
 
 
 def profiles_to_obj(profiles: Mapping[str, AppProfile]) -> dict:
-    out = {}
-    for name in sorted(profiles):
-        p = profiles[name]
-        out[name] = {
-            "perf_metric_name": p.perf_metric_name,
-            "perf_orientation": p.perf_orientation.value,
-            "variable_workload": p.variable_workload,
-            "fixed_baseline": p.fixed_baseline,
-            "baseline_range": None if p.baseline_range is None else list(p.baseline_range),
-        }
-    return out
+    # a profile's name is its entry's key
+    return {name: fields_to_obj(p, skip=("name",)) for name, p in profiles.items()}
 
 
 def profiles_from_obj(obj: dict) -> dict[str, AppProfile]:

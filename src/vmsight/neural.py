@@ -30,8 +30,8 @@ from .errors import (
     NonFiniteInput,
 )
 from .select import CorrelationReport, Target, trace_summary
-from .tracemodel import MetricKind, SessionRecord, metric_by_name, read_json, write_json
-from .tracemodel import _num, _samples
+from .tracemodel import MetricKind, SessionRecord, fields_to_obj, metric_by_name, read_json
+from .tracemodel import _num, _samples, write_json
 
 # Levenberg-Marquardt damping: its start, its growth on a rejected step, its
 # shrink on an accepted one, and the cap past which training gives up
@@ -43,6 +43,7 @@ EARLY_STOP_PATIENCE = 25  # epochs without a validation gain before stopping
 SPLIT = (0.70, 0.15, 0.15)  # train/val/test fractions of an app's sessions
 REL_ERR_FLOOR = 1e-9
 _GRAD_TOL = 1e-12
+ACTIVATION = "tanh"  # the hidden layers' activation as model files name it, the only one
 
 
 class Purpose(enum.Enum):
@@ -74,13 +75,7 @@ class FitReport:
     split_ids: dict[str, tuple[str, ...]]
 
     def to_obj(self) -> dict:
-        return {
-            "purpose": self.purpose.value,
-            "errors": {s: dict(v) for s, v in sorted(self.errors.items())},
-            "epochs_run": self.epochs_run,
-            "final_lambda": self.final_lambda,
-            "split_ids": {s: list(v) for s, v in sorted(self.split_ids.items())},
-        }
+        return fields_to_obj(self)
 
 
 @dataclass(frozen=True)
@@ -518,7 +513,7 @@ def model_to_obj(model: MlpModel, report: Optional[FitReport] = None) -> dict:
             {"shape": list(w.shape), "weights": w.ravel().tolist(), "bias": b.tolist()}
             for w, b in model.layers
         ],
-        "activation": "tanh",
+        "activation": ACTIVATION,
         "input_norm": {
             "mean": model.input_norm[0].tolist(),
             "std": model.input_norm[1].tolist(),
@@ -530,6 +525,8 @@ def model_to_obj(model: MlpModel, report: Optional[FitReport] = None) -> dict:
 
 
 def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
+    if obj["activation"] != ACTIVATION:
+        raise ValueError(f"activation: only {ACTIVATION!r} is supported, got {obj['activation']!r}")
     metrics = tuple(metric_by_name(m["name"]) for m in obj["input_metrics"])
     if [k.category.value for k in metrics] != [m["category"] for m in obj["input_metrics"]]:
         raise ValueError("input_metrics: a category does not match its metric name")

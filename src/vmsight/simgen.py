@@ -228,10 +228,12 @@ class AppTemplate:
         }
         usage = {}
         for cat, kinds in probe.items():
-            level = sum(
-                float(np.mean(render_waveform(self.base_shapes[k].waveform, 256, 1.0)))
-                for k in kinds
-            )
+            # a level past a float is refused where render_session draws it
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = sum(
+                    float(np.mean(render_waveform(self.base_shapes[k].waveform, 256, 1.0)))
+                    for k in kinds
+                )
             usage[cat] = min(1.0, level / refs[cat])
         return usage
 

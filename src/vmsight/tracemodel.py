@@ -17,7 +17,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -318,6 +318,17 @@ def write_json(path: str, obj, indent: Optional[int] = 2) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=indent))
         fh.write("\n")
+
+
+def fields_to_obj(obj, skip: Sequence[str] = ()) -> dict:
+    """A dataclass's fields but ``skip`` as a dict for write_json, each enum as
+    its value; a shallow dict, where dataclasses.asdict would deep-copy."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            out[f.name] = value.value if isinstance(value, enum.Enum) else value
+    return out
 
 
 def write_trace_csv(path: str, traces: Sequence[MetricTrace], period_s: float) -> None:

@@ -6,14 +6,17 @@ matrix and walk it back, and the correlation oracle is a straight-sum
 two-pass loop.  The ablation oracle is the plain per-count loop: a fresh
 database and a full identification for every reference count.  The JSONL
 oracle builds the record's whole object and hands it to json.dumps, with
-each float rounded by the scalar quantize.  Keep them simple and slow.
+each float rounded by the scalar quantize.  The prediction baseline is
+ordinary least squares on every metric's mean.  Keep them simple and slow.
 """
 
 import json
 import math
 
+import numpy as np
+
 from vmsight.identify import build_fingerprint_db, identify
-from vmsight.tracemodel import metric_by_name, quantize
+from vmsight.tracemodel import STANDARD_METRICS, metric_by_name, quantize
 
 
 def brute_force_dtw_cost(p, q):
@@ -149,3 +152,19 @@ def jsonl_line(record):
         },
     }
     return json.dumps(obj, sort_keys=True)
+
+
+def least_squares_max_error_pct(records, fit_ids, test_ids):
+    """The worst relative error (%) over ``test_ids`` of a least-squares fit of
+    performance on all standard metrics' trace means plus an intercept, fit
+    on ``fit_ids``: the linear baseline a prediction net is held against."""
+    by_id = {r.session_id: r for r in records}
+
+    def design(ids):
+        rows = [by_id[i] for i in ids]
+        x = [[np.mean(r.traces[k].samples) for k in STANDARD_METRICS.values()] for r in rows]
+        return np.column_stack([x, np.ones(len(rows))]), np.array([r.performance for r in rows])
+
+    coef = np.linalg.lstsq(*design(fit_ids), rcond=None)[0]
+    x, y = design(test_ids)
+    return float(np.max(np.abs(x @ coef - y) / np.abs(y)) * 100.0)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import brute_force_dtw_cost, two_pass_pearson
+from oracles import brute_force_dtw_cost, least_squares_max_error_pct, two_pass_pearson
 from vmsight.degrade import (
     evaluate_degradation,
     fit_models_for_corpus,
@@ -24,6 +24,7 @@ from vmsight.degrade import (
 from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
 from vmsight.identify import UNKNOWN, _dtw, _pad, build_fingerprint_db, identify
 from vmsight.neural import (
+    Purpose,
     TrainConfig,
     _activations,
     _init_layers,
@@ -321,6 +322,23 @@ def test_criterion_10_inference_latency(train_setup, profiles):
         f"predict {summary['median_predict_us']:.1f} us, "
         f"degradation {summary['median_degradation_us']:.1f} us (bound 1 ms)",
     )
+
+
+def test_headline_worst_error_under_half_a_linear_baseline(train_setup):
+    """The paper's headline claim: more than 2x lower worst prediction error
+    than an existing method, here least squares on every metric mean, fit on
+    each performance net's train and val sessions and scored on its test ones."""
+    corpus, store, _ = train_setup
+    pairs = {}
+    for app in store.apps():
+        fit = store.report(app, Purpose.PERFORMANCE)
+        ids = fit.split_ids
+        baseline = least_squares_max_error_pct(corpus, ids["train"] + ids["val"], ids["test"])
+        pairs[app] = (fit.errors["test"]["max"], baseline)
+    net, baseline = (max(pair[i] for pair in pairs.values()) for i in (0, 1))
+    detail = ", ".join(f"{app} {n:.2f} vs {b:.2f}" for app, (n, b) in sorted(pairs.items()))
+    print(f"test max error %, net vs least squares: {detail}; worst {net:.2f} vs {baseline:.2f}")
+    assert baseline >= 2 * net, detail
 
 
 @pytest.fixture()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmsight import degrade, simgen, tracemodel
-from vmsight.cli import main
+from vmsight.cli import _BOUNDS, build_parser, main
+from vmsight.evaluate import MAX_QUERIES
 from vmsight.parallel import parallel_map
 
 MISSING = "/nonexistent/vmsight/corpus.jsonl"
@@ -530,6 +532,8 @@ class TestPredict:
             pytest.param(_edit_model(lambda obj: obj["layers"][0].update(
                 bias=[True, *obj["layers"][0]["bias"][1:]])), id="bias-bool"),
             pytest.param(_edit_model(lambda obj: obj.update(rng_seed=3.9)), id="rng-seed-float"),
+            pytest.param(_edit_model(lambda obj: obj.update(activation="relu")),
+                         id="activation-relu"),
             pytest.param(_edit_model(lambda obj: obj["fit_report"].update(final_lambda="0.5")),
                          id="final-lambda-string"),
             # without its first layer, the next one expects the hidden width as input
@@ -692,6 +696,7 @@ class TestConfigFile:
             ["evaluate", "--experiment", "ablation", "--ref-counts", "0,1"],
             ["evaluate", "--experiment", "tradeoff", "--hours", "-5"],
             ["train", "--models", "/nonexistent/vmsight/models", "--apps", "bogus"],
+            ["evaluate", "--experiment", "timing", "--queries", "1" * 40],
         ],
     )
     def test_bad_flag_is_reported_before_any_file_is_read(self, capsys, argv):
@@ -766,6 +771,7 @@ class TestConfigFile:
             ("--perf-noise", "1e308", "performance overflows a float"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate_value_past_a_float_or_the_vm_cap_is_config_invalid(
         self, capsys, tmp_path, flag, value, message
     ):
@@ -1000,7 +1006,7 @@ BOUNDED = {
     "--amp-gain": (float, lambda v: v > 0),
     "--threshold-corr": (float, lambda v: 0 <= v <= 1),
     "--max-epochs": (int, lambda v: v >= 1),
-    "--queries": (int, lambda v: v >= 1),
+    "--queries": (int, lambda v: 1 <= v <= MAX_QUERIES),
     "--min-test-sessions": (int, lambda v: v >= 1),
     "--n-vms": (int, lambda v: v >= 1),
     "--duration-s": (float, lambda v: v > 0),
@@ -1100,6 +1106,26 @@ def _hostile(flag) -> list:
 
 
 class TestEveryFlag:
+    def test_every_numeric_flag_takes_its_type_and_default_from_bounds(self):
+        """Each int or float flag of every subcommand has a _BOUNDS entry of
+        its type, whose default it takes but for train's --jobs, and each
+        entry has a flag."""
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        used = set()
+        for command, p in sub.choices.items():
+            for action in p._actions:
+                if action.type not in (int, float):
+                    continue
+                where = f"{command} {action.option_strings[0]}"
+                assert action.dest in _BOUNDS, where
+                kind, _, default = _BOUNDS[action.dest]
+                assert action.type is kind, where
+                if (command, action.dest) != ("train", "jobs"):
+                    assert action.default == default, where
+                used.add(action.dest)
+        assert used == set(_BOUNDS)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_every_flag_is_settled_before_any_file_is_read(self, data):

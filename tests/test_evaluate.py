@@ -4,7 +4,7 @@ import pytest
 
 from oracles import ablation_per_count
 from vmsight.errors import ConfigInvalid, InsufficientData
-from vmsight.evaluate import run_ablation_dtw, run_sampling_tradeoff, run_timing
+from vmsight.evaluate import MAX_QUERIES, run_ablation_dtw, run_sampling_tradeoff, run_timing
 from vmsight.neural import TrainConfig
 from vmsight.simgen import ScenarioConfig, generate
 
@@ -107,6 +107,11 @@ class TestTiming:
     def test_zero_queries_rejected(self, trained_store, profiles, small_corpus):
         with pytest.raises(ConfigInvalid):
             run_timing(trained_store, profiles, small_corpus[0], n_queries=0)
+
+    def test_queries_past_the_cap_rejected(self, trained_store, profiles, small_corpus):
+        # refused before a latency array of that length is allocated
+        with pytest.raises(ConfigInvalid, match=str(MAX_QUERIES)):
+            run_timing(trained_store, profiles, small_corpus[0], n_queries=10**40)
 
     def test_warm_latency_below_bound(self, trained_store, profiles, small_corpus):
         result = run_timing(trained_store, profiles, small_corpus[0], n_queries=400)
