@@ -176,7 +176,7 @@ class SessionRecord:
         traces = dict(self.traces)
         if not traces:
             raise ValueError("record needs at least one trace")
-        periods = {fmt(t.period_s) for t in traces.values()}
+        periods = {fmt(p) for p in {t.period_s for t in traces.values()}}
         if len(periods) != 1:
             raise ValueError(f"all traces in a record must share period_s, got {periods}")
         for kind, trace in traces.items():
@@ -224,13 +224,16 @@ def _opt_quant(v: Optional[float]) -> Optional[float]:
 
 T = TypeVar("T")
 
+# Python's 8 KiB default splits a 25 KB corpus line over several reads
+_READ_BUFFER = 256 * 1024
+
 
 @contextlib.contextmanager
 def _reading(path: str) -> Iterator[IO[bytes]]:
     """Open ``path`` for reading bytes; an OSError, on open or while
     reading, becomes IoError."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=_READ_BUFFER) as fh:
             yield fh
     except OSError as exc:
         raise IoError(f"{path}: cannot read ({exc.strerror or exc})") from exc
@@ -514,10 +517,23 @@ def _record_from_obj(obj: dict, where: str) -> SessionRecord:
 
 
 def _record(session_id: str, samples: dict, period: float, labels: dict, where: str):
-    """The SessionRecord of checked file fields, its traces copied from
-    ``samples``; what MetricTrace or SessionRecord refuses is a ParseError."""
+    """The SessionRecord of checked file fields; a period of 0 or below, and
+    what SessionRecord refuses, is a ParseError.
+
+    Each of ``samples``' arrays is a loader's own: 1-D, at least 2 finite
+    float64 values, written by nothing else.  It becomes its trace's samples
+    as it is, made read-only, without MetricTrace's second check and copy.
+    """
     try:
-        traces = {kind: MetricTrace(kind, v, period_s=period) for kind, v in samples.items()}
+        if not period > 0:
+            raise ValueError(f"period_s must be positive, got {period}")
+        traces = {}
+        for kind, v in samples.items():
+            v.flags.writeable = False
+            traces[kind] = trace = object.__new__(MetricTrace)
+            object.__setattr__(trace, "metric", kind)
+            object.__setattr__(trace, "samples", v)
+            object.__setattr__(trace, "period_s", period)
         return SessionRecord(session_id=session_id, traces=traces, **labels)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -528,12 +544,13 @@ _MAX_TRACES = len(STANDARD_METRICS)  # a line with more is declined, then reject
 
 
 def _line_parser() -> Optional[Callable[[bytes], Optional[dict]]]:
-    """A function from a stripped JSONL line to the object json.loads would
-    give, trace samples as float64 arrays, or to None when jsonl.c's parser
+    """A function from a JSONL line, JSON whitespace allowed at both ends,
+    to the object json.loads would give, or to None when jsonl.c's parser
     declines the line; None where that parser cannot be built.
 
-    Samples land in one buffer that the next line overwrites, so a record's
-    MetricTrace copies must be made before the next call.
+    Each accepted line's samples are copied once, out of the buffer the next
+    line reuses, into a fresh read-only block; each trace is a view of its
+    slice of that block.
     """
     from . import native  # native renames its build through this module
 
@@ -558,13 +575,15 @@ def _line_parser() -> Optional[Callable[[bytes], Optional[dict]]]:
         if n < 0:
             return None
         s = spans[: 4 + 4 * n].tolist()
+        block = buf[: s[-1]].copy()  # s[-1]: the end of the last trace's samples
+        block.flags.writeable = False
         period, *levels = (None if math.isnan(v) else v for v in nums.tolist())
         return {
             "session_id": line[s[0]:s[1]].decode("ascii"),
             "app_label": None if s[2] < 0 else line[s[2]:s[3]].decode("ascii"),
             "period_s": period,
             **dict(zip(_LEVELS, levels)),
-            "traces": {line[a:b].decode("ascii"): buf[i:j]
+            "traces": {line[a:b].decode("ascii"): block[i:j]
                        for a, b, i, j in zip(*[iter(s[4:])] * 4)},
         }
 
@@ -580,11 +599,16 @@ def _load_jsonl_file(path: str) -> list[SessionRecord]:
     records = []
     with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             where = f"{name}:{lineno}"
-            records.append(_record_from_obj(parse(line) or parse_json(line, where), where))
+            # jsonl.c takes the raw line; json, which refuses \x0b and \x0c,
+            # takes it stripped, and a blank line holds no record
+            obj = parse(line)
+            if obj is None:
+                line = line.strip()
+                if not line:
+                    continue
+                obj = parse_json(line, where)
+            records.append(_record_from_obj(obj, where))
     return records
 
 
@@ -633,7 +657,7 @@ def _load_csv_session(csv_path: str) -> SessionRecord:
     period = float(steps[0])
     if period <= 0 or not np.allclose(steps, period, rtol=1e-6, atol=1e-9):
         raise ParseError(f"{session_id}.csv: time column is not uniformly spaced")
-    samples = {kind: rows[:, j] for j, kind in enumerate(kinds, start=1)}
+    samples = dict(zip(kinds, rows[:, 1:].T.copy()))  # one contiguous row per trace
     return _record(session_id, samples, period, labels, session_id)
 
 

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -94,6 +95,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             trace.samples[0] = 9.9
 
+    def test_trace_copies_a_writable_array(self):
+        arr = np.array([1.0, 2.0])
+        trace = MetricTrace(CPU_UTIL, arr)
+        arr[0] = 9.9
+        assert trace.samples.tolist() == [1.0, 2.0]
+
     def test_record_requires_shared_period(self):
         traces = {
             CPU_UTIL: MetricTrace(CPU_UTIL, np.array([1.0, 2.0]), period_s=1.0),
@@ -166,6 +173,44 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         save_corpus(records, str(path))
         assert load_corpus(str(path)) == records
+
+    def test_loaded_traces_are_read_only_and_share_no_memory(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_record(s) for s in ("a", "b", "c")], str(path))
+        loaded = load_corpus(str(path))
+        traces = [(r.session_id, t.samples) for r in loaded for t in r.traces.values()]
+        for _, samples in traces:
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError):
+                samples[0] = 9.9
+        for (sid, x), (other, y) in itertools.combinations(traces, 2):
+            assert sid == other or not np.shares_memory(x, y)
+        # a second load, of other samples, leaves the first one's as they were
+        before = _bits(loaded)
+        save_corpus([make_record(s, n=40) for s in ("c", "d")], str(path))
+        load_corpus(str(path))
+        assert _bits(loaded) == before
+
+    def test_load_keeps_the_samples_and_streams_the_file(self, tmp_path):
+        # the corpus of test_peak_memory_is_one_record_not_the_corpus.  A
+        # record that kept the C parser's whole line buffer (about 12,700
+        # floats) would retain several times its samples, and reading the
+        # file at once would lift the peak by its size
+        records = generate(
+            ScenarioConfig(session_duration_s=300.0, rng_seed=3), default_templates(), 200
+        )
+        path = tmp_path / "c.jsonl"
+        save_corpus(records, str(path))
+        del records
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(str(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = sum(t.samples.nbytes for r in loaded for t in r.traces.values())
+        assert retained < 1.25 * samples
+        assert peak - retained < path.stat().st_size / 2
 
 
 class TestSamples:
@@ -389,6 +434,53 @@ class TestNativeParser:
                             lambda *args: declined.append(args) or parse_json(*args))
         assert load_corpus(path) == sorted(records, key=lambda r: r.session_id)
         assert declined == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.0{0,20}[0-9]{1,24})?([eE]-?[0-9])?",
+                                  fullmatch=True), min_size=2, max_size=6))
+    def test_digit_runs_of_any_length_parse_alike(self, tokens):
+        # jsonl.c reads up to 8 digits at once, and byte by byte within 8
+        # bytes of the line's end, where the last samples sit
+        head = _line(traces=None)[: -len("null}")]
+        line = f'{head}{{"cpu_util_pct": [{", ".join(tokens)}]}}}}'.encode()
+        accepted = tracemodel._line_parser()(line) is not None
+        assert accepted == all(_on_exact_path(t) for t in tokens)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(line + b"\n")
+            native, python = _load_both_ways(path)
+        assert native == python
+
+    @staticmethod
+    def _messy_corpus(path, tail: bytes = b"") -> list[bytes]:
+        r"""Three records saved to ``path``, then rewritten with CRLF endings,
+        blank and whitespace-only lines, one record line ending in \x0c and
+        one starting with \x0b, and ``tail`` as the last line.  bytes.strip
+        removes \x0b and \x0c, but JSON does not count them as whitespace,
+        so the C parser declines those two lines and json takes them."""
+        save_corpus([make_record(s) for s in ("a", "b", "c")], str(path))
+        a, b, c = path.read_bytes().splitlines()
+        lines = [a, b"", b" \t ", b + b"\x0c", b"\r", b"\x0b" + c, b"", tail]
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        return lines
+
+    def test_line_endings_and_blank_lines_load_alike_on_both_parsers(self, tmp_path):
+        clean = tmp_path / "clean.jsonl"
+        save_corpus([make_record(s) for s in ("a", "b", "c")], str(clean))
+        path = tmp_path / "c.jsonl"
+        lines = self._messy_corpus(path)
+        parse = tracemodel._line_parser()
+        assert parse(lines[0] + b"\r\n") is not None
+        assert parse(lines[3] + b"\r\n") is None and parse(lines[5] + b"\r\n") is None
+        native, python = _load_both_ways(str(path))
+        assert native == python == _load_both_ways(str(clean))[0]
+
+    @pytest.mark.parametrize("end", [b"", b"\x0c"], ids=["c-parser", "json"])
+    def test_bad_line_after_them_is_named_alike_on_both_parsers(self, tmp_path, end):
+        path = tmp_path / "c.jsonl"
+        self._messy_corpus(path, _line(session_id="d", period_s=0).encode() + end)
+        assert _load_both_ways(str(path)) == ["c.jsonl:8: period_s must be positive, got 0.0"] * 2
 
 
 GOOD_OBJ = {"session_id": "s", "app_label": None, "period_s": 1.0, "workload_level": None,
