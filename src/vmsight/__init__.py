@@ -39,7 +39,6 @@ from .neural import (
     MlpModel,
     Purpose,
     TrainConfig,
-    hyper_search,
     load_model,
     predict,
     save_model,

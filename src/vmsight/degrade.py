@@ -23,6 +23,7 @@ from .errors import (
     IoError,
     MissingModel,
     MissingProfile,
+    ParseError,
     UnknownApplication,
 )
 from .identify import UNKNOWN, FingerprintDb, identify
@@ -66,6 +67,8 @@ class AppProfile:
     baseline_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
+        if not isinstance(self.perf_metric_name, str):
+            raise ValueError(f"{self.name}: perf_metric_name must be a string")
         if self.variable_workload and self.baseline_range is None:
             raise ValueError(f"{self.name}: variable workload requires baseline_range")
         if not self.variable_workload and self.fixed_baseline is None:
@@ -151,6 +154,8 @@ class ModelStore:
             for fname in sorted(os.listdir(app_dir)):
                 if fname.endswith(".json"):
                     model, report = load_model(os.path.join(app_dir, fname))
+                    if fname != f"{model.purpose.value}.json":
+                        raise ParseError(f"{app}/{fname}: holds a {model.purpose.value} model")
                     store.add(app, model, report)
         if not len(store):
             raise IoError(f"no models found under {path}")
@@ -254,8 +259,12 @@ def fit_models_for_corpus(
     configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
     apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
 
-    def search(app, recs, purpose, selection=None):
-        problem = prepare(recs, purpose, selection, cfg)
+    def search(app, recs, purpose, target=None):
+        inputs = rank_metrics(recs, app, target, corr_threshold).selected if target else ()
+        try:
+            problem = prepare(recs, purpose, inputs, cfg.rng_seed)
+        except InsufficientData as exc:
+            raise InsufficientData(f"app {app!r}, {purpose.value} net: {exc}") from None
         apps.append(app)
         tasks.extend((problem, c) for c in configs)
 
@@ -263,11 +272,9 @@ def fit_models_for_corpus(
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        search(app, recs, Purpose.PERFORMANCE,
-               rank_metrics(recs, app, Target.PERFORMANCE, corr_threshold))
+        search(app, recs, Purpose.PERFORMANCE, Target.PERFORMANCE)
         if profiles[app].variable_workload:
-            search(app, recs, Purpose.WORKLOAD,
-                   rank_metrics(recs, app, Target.WORKLOAD, corr_threshold))
+            search(app, recs, Purpose.WORKLOAD, Target.WORKLOAD)
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(

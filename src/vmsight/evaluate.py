@@ -160,8 +160,9 @@ def run_sampling_tradeoff(
         point_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
         corpus = generate(point_cfg, templates, n_sessions)
         recs = [r for r in corpus if r.app_label == app]
-        selection = rank_metrics(recs, app, Target.PERFORMANCE)
-        _, report = train(prepare(recs, Purpose.PERFORMANCE, selection, train_cfg), train_cfg)
+        selected = rank_metrics(recs, app, Target.PERFORMANCE).selected
+        problem = prepare(recs, Purpose.PERFORMANCE, selected, train_cfg.rng_seed)
+        _, report = train(problem, train_cfg)
         for split in errors:
             errors[split].append(report.errors[split]["mean"])
     test = errors["test"]
@@ -188,7 +189,7 @@ def run_timing(
     models: ModelStore,
     profiles: Mapping[str, AppProfile],
     sample: SessionRecord,
-    n_queries: int = 10000,
+    n_queries: int,
 ) -> ExperimentResult:
     """Median warm latency of the prediction stage.
 

@@ -374,6 +374,9 @@ def load_fingerprint_db(path: str) -> FingerprintDb:
 
 
 def _db_from_index(index: Mapping) -> FingerprintDb:
+    ids = index.get("source_session_ids", [])
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise ParseError("source_session_ids: expected a list of strings")
     return FingerprintDb(
         entries=tuple(_entry(i, item) for i, item in enumerate(index["entries"])),
         metrics_used=frozenset(metric_by_name(n) for n in index["metrics_used"]),
@@ -381,7 +384,7 @@ def _db_from_index(index: Mapping) -> FingerprintDb:
         metric_thresholds={
             k: _num(v, f"metric_thresholds: {k}") for k, v in index["metric_thresholds"].items()
         },
-        source_session_ids=tuple(index.get("source_session_ids", ())),
+        source_session_ids=tuple(ids),
     )
 
 

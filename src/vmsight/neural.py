@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     NonFiniteInput,
 )
-from .select import CorrelationReport, Target, trace_summary
+from .select import trace_summary
 from .tracemodel import MetricKind, SessionRecord, fields_to_obj, metric_by_name, read_json
 from .tracemodel import _num, _samples, write_json
 
@@ -271,9 +271,9 @@ class Prepared:
     """One training problem, the input of ``train``: the purpose, the input
     metrics, the seeded split, and per split its inputs, normalized with the
     training split's statistics (``in_norm``), and its targets.  ``prepare``
-    builds it from records, a purpose, a selection and cfg.rng_seed, never
-    from the net's widths, so a width search trains every width on one
-    problem."""
+    builds it from records, a purpose, the input metrics (none for a
+    baseline net) and the split seed.  It never sees a net's widths, so a
+    width search trains every width on one problem."""
 
     purpose: Purpose
     input_metrics: tuple[MetricKind, ...]
@@ -284,23 +284,16 @@ class Prepared:
     out_std: float
 
 
-def prepare(records, purpose, selected_metrics, cfg) -> Prepared:
+def prepare(records, purpose, input_metrics, seed) -> Prepared:
     records = list(records)
     if len(records) < 20:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
     if purpose is Purpose.BASELINE:
-        input_metrics: tuple[MetricKind, ...] = ()
-    else:
-        if selected_metrics is None or not selected_metrics.selected:
-            raise InsufficientData("no selected metrics to use as regression inputs")
-        expected = Target.PERFORMANCE if purpose is Purpose.PERFORMANCE else Target.WORKLOAD
-        if selected_metrics.target is not expected:
-            raise ConfigInvalid(
-                f"selection targeted {selected_metrics.target.value}, training {purpose.value}"
-            )
-        input_metrics = tuple(selected_metrics.selected)
+        input_metrics = ()
+    elif not input_metrics:
+        raise InsufficientData("no selected metrics to use as regression inputs")
 
-    splits = split_sessions([r.session_id for r in records], cfg.rng_seed)
+    splits = split_sessions([r.session_id for r in records], seed)
     by_id = {r.session_id: r for r in records}
     parts = {
         name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics)
@@ -312,7 +305,7 @@ def prepare(records, purpose, selected_metrics, cfg) -> Prepared:
     in_std = np.std(x_train, axis=0)
     in_std[in_std == 0.0] = 1.0  # constant feature: carries no signal, maps to 0
     return Prepared(
-        purpose, input_metrics, splits,
+        purpose, tuple(input_metrics), splits,
         {name: ((x - in_mean) / in_std, y) for name, (x, y) in parts.items()},
         (in_mean, in_std), float(np.mean(y_train)), float(np.std(y_train)),
     )
@@ -489,12 +482,12 @@ def hyper_search(
     purpose: Purpose,
     cfg: TrainConfig,
     widths: Sequence[tuple[int, ...]],
-    selected_metrics: Optional[CorrelationReport] = None,
+    input_metrics: Sequence[MetricKind] = (),
 ) -> tuple[MlpModel, FitReport]:
     """Train each of ``grid_configs(cfg, widths)`` on one prepared problem
     and keep the ``best_fit`` of the nets."""
     configs = grid_configs(cfg, widths)
-    problem = prepare(records, purpose, selected_metrics, cfg)
+    problem = prepare(records, purpose, input_metrics, cfg.rng_seed)
     return best_fit([train(problem, c) for c in configs])
 
 

@@ -13,7 +13,7 @@ truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -173,9 +173,6 @@ class AppTemplate:
     baseline: tuple[float, float] | float  # (lo, hi) anchors, or fixed value
     interference_slope: float
     workload_range: Optional[tuple[float, float]] = None
-    driver_metrics: Mapping[str, frozenset[MetricKind]] = field(
-        default_factory=lambda: {"performance": frozenset(), "workload": frozenset()}
-    )
 
     def __post_init__(self):
         if self.variable_workload:
@@ -190,7 +187,6 @@ class AppTemplate:
         if self.interference_slope < 0:
             raise ConfigInvalid(f"{self.name}: interference slope must be >= 0")
         object.__setattr__(self, "base_shapes", dict(self.base_shapes))
-        object.__setattr__(self, "driver_metrics", dict(self.driver_metrics))
 
     @property
     def variable_workload(self) -> bool:
@@ -285,10 +281,6 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
             NET_RX: MetricShape(flat(1.2e7), 1.0, 0.0, 4e5),
             NET_TX: MetricShape(flat(8.0e6), 0.1, 0.05, 2.5e5),
         },
-        driver_metrics={
-            "performance": frozenset({DISK_READS}),
-            "workload": frozenset({NET_RX}),
-        },
     )
 
     templates["web_serving"] = AppTemplate(
@@ -307,10 +299,6 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
             NET_RX: MetricShape(flat(3.0e7), 1.0, 0.0, 9e5),
             NET_TX: MetricShape(flat(1.6e7), 0.1, 0.05, 5e5),
         },
-        driver_metrics={
-            "performance": frozenset({NET_RX}),
-            "workload": frozenset({NET_RX}),
-        },
     )
 
     templates["media_streaming"] = AppTemplate(
@@ -328,7 +316,6 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
             NET_RX: MetricShape(flat(6.0e6), 0.0, 0.15, 2e5),
             NET_TX: MetricShape(flat(4.5e7), 0.0, 0.05, 1.2e6),
         },
-        driver_metrics={"performance": frozenset({DISK_READS}), "workload": frozenset()},
     )
 
     templates["inmem_analytics"] = AppTemplate(
@@ -351,7 +338,6 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
             NET_RX: MetricShape(flat(1.5e6), 0.0, 0.15, 8e4),
             NET_TX: MetricShape(flat(2.0e6), 0.0, 0.05, 8e4),
         },
-        driver_metrics={"performance": frozenset({DISK_READS}), "workload": frozenset()},
     )
 
     templates["kv_store"] = AppTemplate(
@@ -369,7 +355,6 @@ def default_templates(amplitude_gain: float = 1.0) -> dict[str, AppTemplate]:
             NET_RX: MetricShape(flat(2.0e7), 0.0, 0.15, 6e5),
             NET_TX: MetricShape(flat(2.6e7), 0.0, 0.05, 7e5),
         },
-        driver_metrics={"performance": frozenset({DISK_READS}), "workload": frozenset()},
     )
 
     return templates
@@ -397,7 +382,6 @@ def outsider_template(amplitude_gain: float = 1.0) -> AppTemplate:
             NET_RX: MetricShape(_flat(4.0e6 * g), 0.0, 0.15, 1.5e5),
             NET_TX: MetricShape(_flat(8.5e7 * g), 0.0, 0.05, 2e6),
         },
-        driver_metrics={"performance": frozenset({DISK_READS}), "workload": frozenset()},
     )
 
 

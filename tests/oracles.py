@@ -7,7 +7,9 @@ two-pass loop.  The ablation oracle is the plain per-count loop: a fresh
 database and a full identification for every reference count.  The JSONL
 oracle builds the record's whole object and hands it to json.dumps, with
 each float rounded by the scalar quantize.  The prediction baseline is
-ordinary least squares on every metric's mean.  Keep them simple and slow.
+ordinary least squares on every metric's mean.  ``DRIVERS`` is the ground
+truth of the bundled templates: the metrics whose generator gains carry each
+target.  Keep them simple and slow.
 """
 
 import json
@@ -16,7 +18,17 @@ import math
 import numpy as np
 
 from vmsight.identify import build_fingerprint_db, identify
-from vmsight.tracemodel import STANDARD_METRICS, metric_by_name, quantize
+from vmsight.tracemodel import DISK_READS, NET_RX, STANDARD_METRICS, metric_by_name, quantize
+
+# per bundled template, the metrics that causally carry its performance and,
+# for a variable-workload app, its workload level
+DRIVERS = {
+    "data_serving": {"performance": {DISK_READS}, "workload": {NET_RX}},
+    "web_serving": {"performance": {NET_RX}, "workload": {NET_RX}},
+    "media_streaming": {"performance": {DISK_READS}, "workload": set()},
+    "inmem_analytics": {"performance": {DISK_READS}, "workload": set()},
+    "kv_store": {"performance": {DISK_READS}, "workload": set()},
+}
 
 
 def brute_force_dtw_cost(p, q):

@@ -296,6 +296,14 @@ class TestIdentify:
                 )
                 for value in (True, "800")
             ],
+            *[
+                pytest.param(
+                    _edit_index(lambda index, v=value: index.update(source_session_ids=v)),
+                    "ParseError: db.json: source_session_ids",
+                    id=f"source-ids-{value!r}",
+                )
+                for value in ("s000001", [1, 2])
+            ],
         ],
     )
     def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):
@@ -387,7 +395,8 @@ class TestPredict:
         "app, key, value",
         [("kv_store", "fixed_baseline", v) for v in (0, "abc", [1], -3, True, float("inf"))]
         + [("web_serving", "variable_workload", "no")]
-        + [("web_serving", "baseline_range", v) for v in ([0, 5], [5, "x"], [True, 5], [9, 5])],
+        + [("web_serving", "baseline_range", v) for v in ([0, 5], [5, "x"], [True, 5], [9, 5])]
+        + [("kv_store", "perf_metric_name", v) for v in (5, ["x"])],
     )
     def test_bad_profile_is_a_parse_error(self, capsys, workspace, tmp_path, app, key, value):
         profiles = json.loads(open(workspace["profiles"]).read())
@@ -580,6 +589,131 @@ class TestPredict:
         )
         assert code == 1
         assert err.startswith("ParseError: performance.json: ")
+
+    def test_model_file_must_hold_the_purpose_its_name_says(self, capsys, workspace, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        shutil.copy(models / "kv_store" / "performance.json",
+                    models / "data_serving" / "workload.json")
+        code, _, err = run(
+            capsys, "predict", "--corpus", workspace["corpus"], "--db", workspace["db"],
+            "--models", str(models), "--profiles", workspace["profiles"],
+        )
+        assert code == 1
+        assert err.startswith(
+            "ParseError: data_serving/workload.json: holds a performance model"
+        )
+
+
+def _head(corpus, tmp_path, n):
+    """A corpus file of the first ``n`` sessions of ``corpus``."""
+    path = tmp_path / "head.jsonl"
+    path.write_text("".join(open(corpus).readlines()[:n]))
+    return str(path)
+
+
+class TestTrain:
+    def test_apps_trains_only_the_named_apps(self, capsys, workspace, tmp_path):
+        models = tmp_path / "models"
+        code, out, _ = run(
+            capsys, "train", "--corpus", workspace["corpus"], "--profiles", workspace["profiles"],
+            "--models", str(models), "--apps", "web_serving,kv_store", "--max-epochs", "5",
+            "--json",
+        )
+        assert code == 0
+        assert sorted(os.listdir(models)) == ["kv_store", "web_serving"]
+        assert sorted(json.loads(out)["test_mean_pct"]) == [
+            "kv_store/performance",
+            "web_serving/baseline", "web_serving/performance", "web_serving/workload",
+        ]
+
+    def test_net_without_inputs_is_named(self, capsys, workspace, tmp_path):
+        # no metric correlates perfectly, so a threshold of 1 selects none
+        code, _, err = run(
+            capsys, "train", "--corpus", workspace["corpus"], "--profiles", workspace["profiles"],
+            "--models", str(tmp_path / "models"), "--apps", "web_serving,kv_store",
+            "--threshold-corr", "1",
+        )
+        assert code == 1
+        assert err.startswith(
+            "InsufficientData: app 'kv_store', performance net: "
+            "no selected metrics to use as regression inputs"
+        )
+
+
+class TestTextOutput:
+    """Without --json, a subcommand prints a human rendering of the JSON it
+    would print with it: these compare the two."""
+
+    @staticmethod
+    def both(capsys, *argv):
+        code, text, _ = run(capsys, *argv)
+        json_code, out, _ = run(capsys, *argv, "--json")
+        assert code == json_code
+        return text, json.loads(out)
+
+    def test_identify_prints_each_label(self, capsys, workspace, tmp_path):
+        corpus = _head(workspace["corpus"], tmp_path, 20)
+        text, obj = self.both(capsys, "identify", "--corpus", corpus, "--db", workspace["db"])
+        assert text.splitlines() == [f"{r['session_id']}: {r['label']}" for r in obj["results"]]
+
+    def test_select_metrics_marks_the_selection(self, capsys, workspace):
+        text, obj = self.both(
+            capsys, "select-metrics", "--corpus", workspace["corpus"], "--app", "web_serving"
+        )
+        header, *rows = text.splitlines()
+        assert header == f"correlation vs performance (threshold {obj['threshold']:g})"
+        marked = {row[2:].split()[0]: row[0] == "*" for row in rows}
+        assert marked == {name: name in obj["selected"] for name in obj["rho"]}
+        for row in rows:
+            name, value = row[2:].split()[:2]
+            assert float(value) == pytest.approx(obj["rho"][name], abs=5e-4)
+
+    def test_predict_prints_each_report_and_error(self, capsys, workspace, tmp_path):
+        lines = open(workspace["corpus"]).read().splitlines()[:40]  # two apps
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        profiles = json.loads(open(workspace["profiles"]).read())
+        del profiles[json.loads(lines[0])["app_label"]]
+        (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+        text, obj = self.both(
+            capsys, "predict", "--corpus", str(corpus), "--db", workspace["db"],
+            "--models", workspace["models"], "--profiles", str(tmp_path / "profiles.json"),
+        )
+        rows = obj["results"]
+        assert any("error" in r for r in rows) and any("deg" in r for r in rows)
+        assert text.splitlines() == [
+            f"{r['session_id']}: {r['error']}" if "error" in r
+            else f"{r['session_id']}: {r['label']} deg={r['deg']:.3f}"
+            for r in rows
+        ]
+
+    def test_error_table_prints_a_row_per_app_and_split(self, capsys, workspace):
+        text, obj = self.both(
+            capsys, "evaluate", "--experiment", "error-table", "--corpus", workspace["corpus"],
+            "--models", workspace["models"], "--profiles", workspace["profiles"],
+        )
+        header, *lines = text.splitlines()
+        assert header.split() == ["App", "Split", "N", "mean%", "max%", "std%"]
+        assert [line.split() for line in lines] == [
+            [r["app"], r["split"], str(r["n"]),
+             *(f"{r[k]:.2f}" for k in ("mean_pct", "max_pct", "std_pct"))]
+            for r in obj["rows"]
+        ]
+
+    def test_experiment_prints_its_series_as_csv(self, capsys, workspace, tmp_path):
+        corpus = _head(workspace["corpus"], tmp_path, 40)
+        text, obj = self.both(
+            capsys, "evaluate", "--experiment", "ablation", "--corpus", corpus,
+            "--ref-counts", "1,2", "--min-test-sessions", "1",
+        )
+        series = obj["series"]
+        assert text.splitlines() == ["accuracy_dtw,accuracy_truncate,ref_count"] + [
+            f"{dtw:.9g},{truncate:.9g},{count}"
+            for dtw, truncate, count in zip(
+                series["accuracy_dtw"], series["accuracy_truncate"], series["ref_count"]
+            )
+        ]
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vmsight import degrade
 from vmsight.degrade import (
     AppProfile,
     ModelStore,
@@ -262,9 +263,27 @@ class TestPipelineIsolation:
         for app in sorted(profiles):
             recs = [r for r in small_corpus if r.app_label == app]
             sel = rank_metrics(recs, app, Target.PERFORMANCE, DEFAULT_CORR_THRESHOLD)
-            searched = hyper_search(recs, Purpose.PERFORMANCE, cfg, grid, sel)
+            searched = hyper_search(recs, Purpose.PERFORMANCE, cfg, grid, sel.selected)
             stored = (store.get(app, Purpose.PERFORMANCE), store.report(app, Purpose.PERFORMANCE))
             assert model_to_obj(*stored) == model_to_obj(*searched), app
+
+    def test_corpus_fit_ranks_and_trains_through_degrade(self, small_corpus, profiles,
+                                                           monkeypatch):
+        # a profiler that wraps degrade.rank_metrics and degrade.train by name
+        # must see every selection and every net of a corpus fit
+        calls = dict.fromkeys(("rank_metrics", "train"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(degrade, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(degrade, name, counting)
+        grid = [(3,), (4,)]
+        cfg = TrainConfig(rng_seed=0, max_epochs=5)
+        store = fit_models_for_corpus(small_corpus, profiles, cfg=cfg, hidden_grid=grid)
+        variable = sum(p.variable_workload for p in profiles.values())
+        assert calls["rank_metrics"] == len(profiles) + variable
+        assert calls["train"] == len(store) * len(grid) == (len(profiles) + 2 * variable) * 2
 
 
 class TestEvaluateDegradation:

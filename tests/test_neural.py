@@ -59,11 +59,11 @@ def linear_records(n=60, slope=2.0, intercept=1.0, seed=1, noise=0.0):
 
 
 def selection(records):
-    return rank_metrics(records, "toy", Target.PERFORMANCE, 0.3)
+    return rank_metrics(records, "toy", Target.PERFORMANCE, 0.3).selected
 
 
-def fit(records, purpose, selected_metrics, cfg):
-    return train(prepare(records, purpose, selected_metrics, cfg), cfg)
+def fit(records, purpose, input_metrics, cfg):
+    return train(prepare(records, purpose, input_metrics, cfg.rng_seed), cfg)
 
 
 def finite_difference_jacobian(theta, dims, x, y, eps=1e-6):
@@ -121,7 +121,7 @@ class TestTrain:
             )
             for i in range(25)
         ]
-        model, report = fit(records, Purpose.BASELINE, None, TrainConfig())
+        model, report = fit(records, Purpose.BASELINE, (), TrainConfig())
         assert abs(predict(model, [3.3]) - 7.25) < 1e-6
         assert report.epochs_run == 0
         assert report.final_lambda == LAMBDA0
@@ -129,7 +129,7 @@ class TestTrain:
 
     def test_insufficient_records(self):
         with pytest.raises(InsufficientData):
-            fit(linear_records(n=10), Purpose.PERFORMANCE, None, TrainConfig())
+            fit(linear_records(n=10), Purpose.PERFORMANCE, (), TrainConfig())
 
     def test_deterministic_given_seed(self):
         records = linear_records(noise=0.3)
@@ -146,7 +146,7 @@ class TestTrain:
         the accepted candidate's pass."""
         records = linear_records(noise=0.3)
         cfg = TrainConfig(hidden_sizes=(6,), max_epochs=40)
-        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg)
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg.rng_seed)
         n_train = len(problem.splits["train"])
         assert n_train not in (len(problem.splits["val"]), len(problem.splits["test"]))
         real_activations, real_solve = neural._activations, np.linalg.solve
@@ -310,7 +310,7 @@ class TestPredict:
 
     def test_models_of_one_problem_do_not_share_input_norms(self):
         records = linear_records()
-        problem = prepare(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), 0)
         a, _ = train(problem, TrainConfig(hidden_sizes=(2,), max_epochs=5))
         b, _ = train(problem, TrainConfig(hidden_sizes=(3,), max_epochs=5))
         x = [float(records[0].trace("cpu_util_pct").samples.mean())]
@@ -340,7 +340,7 @@ class TestHyperSearch:
     def test_one_config_grid_writes_the_model_train_writes(self, purpose, target):
         records = linear_records(noise=0.2)
         cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
-        sel = rank_metrics(records, "toy", target, 0.3)
+        sel = rank_metrics(records, "toy", target, 0.3).selected
         searched = hyper_search(records, purpose, cfg, [cfg.hidden_sizes], sel)
         trained = fit(records, purpose, sel, cfg)
         assert model_to_obj(*searched) == model_to_obj(*trained)
@@ -370,7 +370,7 @@ class TestHyperSearch:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigInvalid):
-            hyper_search(linear_records(), Purpose.PERFORMANCE, TrainConfig(), [], None)
+            hyper_search(linear_records(), Purpose.PERFORMANCE, TrainConfig(), [], ())
 
     def test_repeated_width_trains_once(self, monkeypatch):
         records = linear_records(noise=0.2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import two_pass_pearson
+from oracles import DRIVERS, two_pass_pearson
 from vmsight.errors import ConstantSeries, InsufficientData, LengthMismatch
 from vmsight.select import Target, pearson, rank_metrics, render_report, trace_summary
 from vmsight.tracemodel import CPU_UTIL, LLC_MISSES, NET_RX, MetricTrace, SessionRecord
@@ -132,14 +132,14 @@ class TestRankMetrics:
         assert all(m >= 0.3 for m in magnitudes)
 
     def test_generator_driver_metrics_selected(self, small_corpus, templates):
-        # the generator declares which metrics causally carry each target;
+        # DRIVERS names the metrics that causally carry each target;
         # selection at the default threshold must find all of them
         for app, template in templates.items():
             report = rank_metrics(small_corpus, app, Target.PERFORMANCE, 0.3)
-            assert template.driver_metrics["performance"] <= set(report.selected)
+            assert DRIVERS[app]["performance"] <= set(report.selected)
             if template.variable_workload:
                 wreport = rank_metrics(small_corpus, app, Target.WORKLOAD, 0.3)
-                assert template.driver_metrics["workload"] <= set(wreport.selected)
+                assert DRIVERS[app]["workload"] <= set(wreport.selected)
 
     def test_render_report_marks_selection(self):
         target = [10.0, 20.0, 30.0, 40.0]

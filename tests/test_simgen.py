@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import DRIVERS
 from vmsight.errors import ConfigInvalid, UnknownTemplate
 from vmsight.identify import _dtw, _pad
 from vmsight.select import Target, rank_metrics
@@ -257,9 +258,9 @@ class TestDriverFidelity:
         corpus = generate(cfg, templates, 500)
         for app, template in templates.items():
             perf_report = rank_metrics(corpus, app, Target.PERFORMANCE, 0.3)
-            for kind in template.driver_metrics["performance"]:
+            for kind in DRIVERS[app]["performance"]:
                 assert abs(perf_report.rho[kind]) > 0.3, (app, kind.name)
             if template.variable_workload:
                 wl_report = rank_metrics(corpus, app, Target.WORKLOAD, 0.3)
-                for kind in template.driver_metrics["workload"]:
+                for kind in DRIVERS[app]["workload"]:
                     assert abs(wl_report.rho[kind]) > 0.3, (app, kind.name)
