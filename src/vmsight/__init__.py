@@ -37,7 +37,6 @@ from .identify import (
 from .neural import (
     FitReport,
     MlpModel,
-    Purpose,
     TrainConfig,
     load_model,
     predict,
@@ -46,7 +45,7 @@ from .neural import (
 )
 from .select import (
     CorrelationReport,
-    Target,
+    Purpose,
     pearson,
     rank_metrics,
     trace_summary,

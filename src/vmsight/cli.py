@@ -287,7 +287,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_select_metrics(args) -> int:
     records = _load_sessions(args)
-    target = select.Target(args.target)
+    target = select.Purpose(args.target)
     report = select.rank_metrics(records, args.app, target, threshold=args.threshold_corr)
     _emit(args, report.to_obj())
     if not args.json:
@@ -312,7 +312,7 @@ def _cmd_train(args) -> int:
     store.save(args.models)
     summary = {}
     for app in store.apps():
-        for purpose in neural.Purpose:
+        for purpose in select.Purpose:
             report = store.report(app, purpose)
             if report is not None:
                 summary[f"{app}/{purpose.value}"] = report.errors["test"]["mean"]

@@ -30,7 +30,6 @@ from .identify import UNKNOWN, FingerprintDb, identify
 from .neural import (
     FitReport,
     MlpModel,
-    Purpose,
     TrainConfig,
     best_fit,
     error_stats,
@@ -46,7 +45,7 @@ from .neural import (
     train,
 )
 from .parallel import parallel_map
-from .select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
+from .select import DEFAULT_CORR_THRESHOLD, Purpose, rank_metrics
 from .tracemodel import MetricKind, MetricTrace, SessionRecord, fields_to_obj, read_json, write_json
 
 
@@ -259,8 +258,9 @@ def fit_models_for_corpus(
     configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
     apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
 
-    def search(app, recs, purpose, target=None):
-        inputs = rank_metrics(recs, app, target, corr_threshold).selected if target else ()
+    def search(app, recs, purpose):
+        baseline = purpose is Purpose.BASELINE
+        inputs = () if baseline else rank_metrics(recs, app, purpose, corr_threshold).selected
         try:
             problem = prepare(recs, purpose, inputs, cfg.rng_seed)
         except InsufficientData as exc:
@@ -272,9 +272,9 @@ def fit_models_for_corpus(
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        search(app, recs, Purpose.PERFORMANCE, Target.PERFORMANCE)
+        search(app, recs, Purpose.PERFORMANCE)
         if profiles[app].variable_workload:
-            search(app, recs, Purpose.WORKLOAD, Target.WORKLOAD)
+            search(app, recs, Purpose.WORKLOAD)
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(

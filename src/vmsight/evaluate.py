@@ -21,8 +21,8 @@ import numpy as np
 from .degrade import AppProfile, ModelStore, predict_degradation
 from .errors import ConfigInvalid, InsufficientData
 from .identify import _decide, _rows, build_fingerprint_db
-from .neural import Purpose, TrainConfig, features_from_traces, predict, prepare, train
-from .select import Target, rank_metrics
+from .neural import TrainConfig, features_from_traces, predict, prepare, train
+from .select import Purpose, rank_metrics
 from .simgen import AppTemplate, ScenarioConfig, generate
 from .tracemodel import SessionRecord, metric_by_name
 
@@ -58,7 +58,10 @@ class ExperimentResult:
         }
 
     def to_csv(self) -> str:
+        """The series as CSV, one column per key; empty when there is no series."""
         keys = sorted(k for k in self.series if k not in self.volatile_keys)
+        if not keys:
+            return ""
         rows = zip(*(self.series[k] for k in keys))
         lines = [",".join(keys)]
         for row in rows:
@@ -160,7 +163,7 @@ def run_sampling_tradeoff(
         point_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
         corpus = generate(point_cfg, templates, n_sessions)
         recs = [r for r in corpus if r.app_label == app]
-        selected = rank_metrics(recs, app, Target.PERFORMANCE).selected
+        selected = rank_metrics(recs, app, Purpose.PERFORMANCE).selected
         problem = prepare(recs, Purpose.PERFORMANCE, selected, train_cfg.rng_seed)
         _, report = train(problem, train_cfg)
         for split in errors:

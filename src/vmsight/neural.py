@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import enum
 import functools
 import glob
 import math
@@ -29,7 +28,7 @@ from .errors import (
     InsufficientData,
     NonFiniteInput,
 )
-from .select import trace_summary
+from .select import Purpose, target_value, trace_summary
 from .tracemodel import MetricKind, SessionRecord, fields_to_obj, metric_by_name, read_json
 from .tracemodel import _num, _samples, write_json
 
@@ -44,12 +43,6 @@ SPLIT = (0.70, 0.15, 0.15)  # train/val/test fractions of an app's sessions
 REL_ERR_FLOOR = 1e-9
 _GRAD_TOL = 1e-12
 ACTIVATION = "tanh"  # the hidden layers' activation as model files name it, the only one
-
-
-class Purpose(enum.Enum):
-    PERFORMANCE = "performance"
-    WORKLOAD = "workload"
-    BASELINE = "baseline"
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,6 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    purpose: Purpose
     errors: dict[str, dict[str, float]]  # split -> {mean,max,std} of relative error (%)
     epochs_run: int
     final_lambda: float
@@ -248,21 +240,18 @@ def features_from_traces(traces, metrics: Sequence[MetricKind], where: str) -> l
 def _design_matrix(records, purpose, input_metrics):
     xs, ys = [], []
     for r in records:
+        y = target_value(r, purpose)
         if purpose is Purpose.BASELINE:
-            if r.workload_level is None or r.performance is None:
+            if r.workload_level is None or y is None:
                 raise InsufficientData(
                     f"session {r.session_id} lacks workload/performance for baseline training"
                 )
             xs.append([float(r.workload_level)])
-            ys.append(float(r.performance))
         else:
-            target = r.performance if purpose is Purpose.PERFORMANCE else r.workload_level
-            if target is None:
-                raise InsufficientData(
-                    f"session {r.session_id} lacks a {purpose.value} target"
-                )
+            if y is None:
+                raise InsufficientData(f"session {r.session_id} lacks a {purpose.value} target")
             xs.append(features_from_traces(r.traces, input_metrics, f"session {r.session_id}"))
-            ys.append(float(target))
+        ys.append(float(y))
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
@@ -462,7 +451,6 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
 def _build_report(model, problem, epochs_run, final_lambda) -> FitReport:
     mu, sigma = model.output_norm
     return FitReport(
-        purpose=problem.purpose,
         errors={name: error_stats(_activations(model.layers, x)[-1][0] * sigma + mu, y)
                 for name, (x, y) in problem.parts.items()},
         epochs_run=epochs_run,
@@ -541,14 +529,23 @@ def model_from_obj(obj: dict) -> tuple[MlpModel, Optional[FitReport]]:
     if obj.get("fit_report"):
         fr = obj["fit_report"]
         report = FitReport(
-            purpose=Purpose(fr["purpose"]),
             errors={split: {k: _num(v, f"fit_report: errors: {split}: {k}") for k, v in e.items()}
                     for split, e in fr["errors"].items()},
             epochs_run=_integer(fr["epochs_run"], "fit_report: epochs_run"),
             final_lambda=_num(fr["final_lambda"], "fit_report: final_lambda"),
-            split_ids={k: tuple(v) for k, v in fr["split_ids"].items()},
+            split_ids=_split_ids(fr["split_ids"]),
         )
     return model, report
+
+
+def _split_ids(obj) -> dict[str, tuple[str, ...]]:
+    """A fit report's session-id split: train, val and test lists of strings."""
+    if not isinstance(obj, dict) or sorted(obj) != ["test", "train", "val"]:
+        raise ValueError("fit_report: split_ids: expected the keys train, val and test")
+    for name, ids in obj.items():
+        if not (isinstance(ids, (list, tuple)) and all(isinstance(i, str) for i in ids)):
+            raise ValueError(f"fit_report: split_ids: {name}: expected a list of strings")
+    return {k: tuple(ids) for k, ids in obj.items()}
 
 
 def _integer(value, where: str) -> int:

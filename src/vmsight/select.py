@@ -21,13 +21,18 @@ DEFAULT_CORR_THRESHOLD = 0.3
 BAR_WIDTH = 40  # characters of bar for |rho| = 1 in render_report
 
 
-class Target(enum.Enum):
+class Purpose(enum.Enum):
+    """What a net predicts, and so the target its input metrics are ranked
+    against: a baseline net maps the workload level to performance."""
+
     PERFORMANCE = "performance"
     WORKLOAD = "workload"
+    BASELINE = "baseline"
 
 
-def target_value(record: SessionRecord, target: Target):
-    return record.performance if target is Target.PERFORMANCE else record.workload_level
+def target_value(record: SessionRecord, purpose: Purpose):
+    """The value of ``record`` that a ``purpose`` net predicts, or None."""
+    return record.workload_level if purpose is Purpose.WORKLOAD else record.performance
 
 
 def trace_summary(trace: MetricTrace) -> float:
@@ -70,7 +75,7 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
 class CorrelationReport:
     """Correlation of every candidate metric against one target."""
 
-    target: Target
+    target: Purpose
     rho: Mapping[MetricKind, float]
     selected: tuple[MetricKind, ...]
     threshold: float
@@ -91,7 +96,7 @@ class CorrelationReport:
 def rank_metrics(
     records: Sequence[SessionRecord],
     app: str,
-    target: Target,
+    target: Purpose,
     threshold: float = DEFAULT_CORR_THRESHOLD,
 ) -> CorrelationReport:
     """Correlate every shared metric of ``app``'s sessions with the target.

@@ -43,6 +43,17 @@ def _set_sample(value):
     return _edit_index(edit)
 
 
+def _uncover_last_label(index):
+    """Use a second metric whose references cover every label but the last."""
+    last = index["entries"][-1]["app_label"]
+    index["metrics_used"].append("net_rx_bytes")
+    index["entries"] += [
+        dict(entry, metric="net_rx_bytes")
+        for entry in index["entries"]
+        if entry["app_label"] != last
+    ]
+
+
 def _edit_model(edit):
     def corrupt(models):
         path = models / "data_serving" / "performance.json"
@@ -304,6 +315,27 @@ class TestIdentify:
                 )
                 for value in ("s000001", [1, 2])
             ],
+            # the database's own invariants: positive thresholds, at least one
+            # entry, and an entry for every label on every metric it uses
+            *[
+                pytest.param(
+                    _edit_index(lambda index, v=value: index.update(distance_threshold=v)),
+                    "ParseError: db.json", id=f"threshold-{value}",
+                )
+                for value in (0, -1)
+            ],
+            pytest.param(
+                _edit_index(lambda index: index["metric_thresholds"].update(cpu_util_pct=0)),
+                "ParseError: db.json", id="metric-threshold-0",
+            ),
+            pytest.param(
+                _edit_index(lambda index: index.update(entries=[])),
+                "ParseError: db.json", id="no-entries",
+            ),
+            pytest.param(
+                _edit_index(_uncover_last_label),
+                "ParseError: db.json", id="label-without-a-metric",
+            ),
         ],
     )
     def test_corrupted_db_is_a_typed_error(self, capsys, workspace, tmp_path, corrupt, error):
@@ -545,6 +577,18 @@ class TestPredict:
                          id="activation-relu"),
             pytest.param(_edit_model(lambda obj: obj["fit_report"].update(final_lambda="0.5")),
                          id="final-lambda-string"),
+            pytest.param(_edit_model(lambda obj: obj["fit_report"].update(split_ids=[])),
+                         id="split-ids-list"),
+            pytest.param(_edit_model(lambda obj: obj["fit_report"]["split_ids"].pop("test")),
+                         id="split-ids-no-test"),
+            pytest.param(_edit_model(lambda obj: obj["fit_report"]["split_ids"].update(more=[])),
+                         id="split-ids-extra-key"),
+            *[
+                pytest.param(_edit_model(
+                    lambda obj, v=value: obj["fit_report"]["split_ids"].update(train=v)),
+                    id=f"split-ids-train-{value!r}")
+                for value in ("s000001", [1, 2])
+            ],
             # without its first layer, the next one expects the hidden width as input
             pytest.param(_edit_model(lambda obj: obj["layers"].pop(0)), id="layer-chain"),
             pytest.param(_edit_model(lambda obj: obj["layers"][-1].update(
@@ -640,6 +684,22 @@ class TestTrain:
             "no selected metrics to use as regression inputs"
         )
 
+    def test_session_without_a_target_is_named(self, capsys, workspace, tmp_path):
+        rows = [json.loads(line) for line in open(workspace["corpus"])]
+        row = next(r for r in rows if r["app_label"] == "data_serving")
+        row["performance"] = None
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            capsys, "train", "--corpus", str(corpus), "--profiles", workspace["profiles"],
+            "--models", str(tmp_path / "models"), "--apps", "data_serving",
+        )
+        assert code == 1
+        assert err.startswith(
+            "InsufficientData: app 'data_serving', performance net: "
+            f"session {row['session_id']} lacks a performance target"
+        )
+
 
 class TestTextOutput:
     """Without --json, a subcommand prints a human rendering of the JSON it
@@ -714,6 +774,33 @@ class TestTextOutput:
                 series["accuracy_dtw"], series["accuracy_truncate"], series["ref_count"]
             )
         ]
+
+
+    def test_tradeoff_prints_its_series_as_csv(self, capsys):
+        text, obj = self.both(
+            capsys, "evaluate", "--experiment", "tradeoff", "--hours", "2", "--duration-s", "60",
+        )
+        keys = sorted(obj["series"])
+        assert keys == ["hours", "sessions", "test_mean_pct", "train_mean_pct", "val_mean_pct"]
+        assert text.splitlines() == [",".join(keys)] + [
+            ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
+            for row in zip(*(obj["series"][k] for k in keys))
+        ]
+
+    def test_timing_prints_nothing_on_stdout(self, capsys, workspace):
+        argv = [
+            "evaluate", "--experiment", "timing", "--corpus", workspace["corpus"],
+            "--models", workspace["models"], "--profiles", workspace["profiles"],
+            "--queries", "20",
+        ]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, "")
+        assert re.fullmatch(r"median predict \S+ us, degradation chain \S+ us\n", err)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert sorted(summary) == ["app", "bound_met", "bound_ms", "n_queries"]
+        assert summary["app"] == "data_serving" and summary["n_queries"] == 20
 
 
 class TestConfigFile:

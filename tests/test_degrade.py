@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from vmsight.errors import (
 )
 from vmsight.identify import build_fingerprint_db
 from vmsight.neural import MlpModel, Purpose, TrainConfig, hyper_search, model_to_obj
-from vmsight.select import DEFAULT_CORR_THRESHOLD, Target, rank_metrics
+from vmsight.select import DEFAULT_CORR_THRESHOLD, rank_metrics
 from vmsight.simgen import (
     ScenarioConfig,
     generate_isolated,
@@ -240,6 +242,33 @@ class TestModelStoreIo:
             for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
                 assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
+    def test_fit_report_purpose_of_older_files_is_ignored(
+        self, tmp_path, small_corpus, profiles, trained_store
+    ):
+        # files written before the fit report dropped its purpose repeat the
+        # net's purpose in it; they load as the same nets and reports
+        trained_store.save(str(tmp_path / "new"))
+        trained_store.save(str(tmp_path / "old"))
+        for path in (tmp_path / "old").rglob("*.json"):
+            obj = json.loads(path.read_text())
+            assert "purpose" not in obj["fit_report"]
+            obj["fit_report"]["purpose"] = obj["purpose"]
+            path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        new = ModelStore.load(str(tmp_path / "new"))
+        old = ModelStore.load(str(tmp_path / "old"))
+        assert len(old) == len(new) == len(trained_store)
+        for app in new.apps():
+            for purpose in Purpose:
+                if new.report(app, purpose) is not None:
+                    assert old.report(app, purpose) == new.report(app, purpose)
+                    assert model_to_obj(old.get(app, purpose)) == model_to_obj(
+                        new.get(app, purpose)
+                    )
+        for r in small_corpus[:20]:
+            a = predict_degradation(r.traces, None, profiles, old, label=r.app_label)
+            b = predict_degradation(r.traces, None, profiles, new, label=r.app_label)
+            assert a == b
+
 
 class TestPipelineIsolation:
     def test_training_one_app_ignores_others(self, small_corpus, profiles):
@@ -262,7 +291,7 @@ class TestPipelineIsolation:
         store = fit_models_for_corpus(small_corpus, profiles, cfg=cfg, hidden_grid=grid)
         for app in sorted(profiles):
             recs = [r for r in small_corpus if r.app_label == app]
-            sel = rank_metrics(recs, app, Target.PERFORMANCE, DEFAULT_CORR_THRESHOLD)
+            sel = rank_metrics(recs, app, Purpose.PERFORMANCE, DEFAULT_CORR_THRESHOLD)
             searched = hyper_search(recs, Purpose.PERFORMANCE, cfg, grid, sel.selected)
             stored = (store.get(app, Purpose.PERFORMANCE), store.report(app, Purpose.PERFORMANCE))
             assert model_to_obj(*stored) == model_to_obj(*searched), app

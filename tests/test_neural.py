@@ -35,7 +35,7 @@ from vmsight.neural import (
     split_sessions,
     train,
 )
-from vmsight.select import Target, rank_metrics
+from vmsight.select import rank_metrics
 from vmsight.tracemodel import CPU_UTIL, NET_RX, MetricTrace, SessionRecord
 
 
@@ -59,7 +59,7 @@ def linear_records(n=60, slope=2.0, intercept=1.0, seed=1, noise=0.0):
 
 
 def selection(records):
-    return rank_metrics(records, "toy", Target.PERFORMANCE, 0.3).selected
+    return rank_metrics(records, "toy", Purpose.PERFORMANCE, 0.3).selected
 
 
 def fit(records, purpose, input_metrics, cfg):
@@ -130,6 +130,17 @@ class TestTrain:
     def test_insufficient_records(self):
         with pytest.raises(InsufficientData):
             fit(linear_records(n=10), Purpose.PERFORMANCE, (), TrainConfig())
+
+    def test_baseline_session_without_workload_is_named(self):
+        records = linear_records()
+        records[3] = SessionRecord(
+            session_id="s003", traces=records[3].traces, app_label="toy", performance=7.0
+        )
+        with pytest.raises(
+            InsufficientData,
+            match=r"^session s003 lacks workload/performance for baseline training$",
+        ):
+            prepare(records, Purpose.BASELINE, (), 0)
 
     def test_deterministic_given_seed(self):
         records = linear_records(noise=0.3)
@@ -334,13 +345,11 @@ class TestHyperSearch:
             assert np.array_equal(w1, w2)
         assert r1.errors == r2.errors
 
-    @pytest.mark.parametrize("purpose, target", [
-        (Purpose.PERFORMANCE, Target.PERFORMANCE), (Purpose.WORKLOAD, Target.WORKLOAD),
-    ])
-    def test_one_config_grid_writes_the_model_train_writes(self, purpose, target):
+    @pytest.mark.parametrize("purpose", [Purpose.PERFORMANCE, Purpose.WORKLOAD])
+    def test_one_config_grid_writes_the_model_train_writes(self, purpose):
         records = linear_records(noise=0.2)
         cfg = TrainConfig(hidden_sizes=(4, 3), rng_seed=6, max_epochs=40)
-        sel = rank_metrics(records, "toy", target, 0.3).selected
+        sel = rank_metrics(records, "toy", purpose, 0.3).selected
         searched = hyper_search(records, purpose, cfg, [cfg.hidden_sizes], sel)
         trained = fit(records, purpose, sel, cfg)
         assert model_to_obj(*searched) == model_to_obj(*trained)
@@ -422,6 +431,12 @@ SCIPY_OPENBLAS = pytest.mark.skipif(
 
 
 @SCIPY_OPENBLAS
+def test_purpose_is_the_one_select_defines():
+    # perfbench reads each net's report by iterating neural.Purpose
+    assert neural.Purpose is vmsight.select.Purpose is vmsight.Purpose
+    assert [p.name for p in neural.Purpose] == ["PERFORMANCE", "WORKLOAD", "BASELINE"]
+
+
 def test_one_blas_thread_restores_the_count_also_on_error():
     get, set_threads = neural._blas_threads()
     before = get()

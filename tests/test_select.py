@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import DRIVERS, two_pass_pearson
 from vmsight.errors import ConstantSeries, InsufficientData, LengthMismatch
-from vmsight.select import Target, pearson, rank_metrics, render_report, trace_summary
+from vmsight.select import Purpose, pearson, rank_metrics, render_report, trace_summary
 from vmsight.tracemodel import CPU_UTIL, LLC_MISSES, NET_RX, MetricTrace, SessionRecord
 
 
@@ -85,14 +85,14 @@ class TestRankMetrics:
         records = _records(
             {CPU_UTIL: target, NET_RX: [5.0, 5.0, 6.0, 5.0]}, target
         )
-        report = rank_metrics(records, "demo", Target.PERFORMANCE, 0.3)
+        report = rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3)
         assert report.selected[0] == CPU_UTIL
         assert report.rho[CPU_UTIL] == pytest.approx(1.0)
 
     def test_impossible_threshold_selects_nothing(self):
         target = [10.0, 20.0, 30.0]
         records = _records({CPU_UTIL: target}, target)
-        report = rank_metrics(records, "demo", Target.PERFORMANCE, 1.1)
+        report = rank_metrics(records, "demo", Purpose.PERFORMANCE, 1.1)
         assert report.selected == ()
 
     def test_constant_metric_reported_zero_not_selected(self):
@@ -103,30 +103,30 @@ class TestRankMetrics:
             object.__setattr__(
                 r, "traces", {**r.traces, LLC_MISSES: MetricTrace(LLC_MISSES, np.full(4, 7.0))}
             )
-        report = rank_metrics(records, "demo", Target.PERFORMANCE, 0.3)
+        report = rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3)
         assert report.rho[LLC_MISSES] == 0.0
         assert LLC_MISSES not in report.selected
 
     def test_insufficient_data(self):
         records = _records({CPU_UTIL: [1.0]}, [1.0])
         with pytest.raises(InsufficientData):
-            rank_metrics(records, "demo", Target.PERFORMANCE, 0.3)
+            rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3)
 
     def test_other_apps_ignored(self):
         target = [10.0, 20.0, 30.0]
         records = _records({CPU_UTIL: target}, target)
         noise = _records({CPU_UTIL: [1.0, 1.0, 99.0]}, [5.0, 50.0, 5.0], app="other")
-        with_noise = rank_metrics(records + noise, "demo", Target.PERFORMANCE, 0.3)
-        alone = rank_metrics(records, "demo", Target.PERFORMANCE, 0.3)
+        with_noise = rank_metrics(records + noise, "demo", Purpose.PERFORMANCE, 0.3)
+        alone = rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3)
         assert with_noise.rho == alone.rho
 
     def test_deterministic(self, small_corpus):
-        r1 = rank_metrics(small_corpus, "data_serving", Target.PERFORMANCE, 0.3)
-        r2 = rank_metrics(small_corpus, "data_serving", Target.PERFORMANCE, 0.3)
+        r1 = rank_metrics(small_corpus, "data_serving", Purpose.PERFORMANCE, 0.3)
+        r2 = rank_metrics(small_corpus, "data_serving", Purpose.PERFORMANCE, 0.3)
         assert r1.rho == r2.rho and r1.selected == r2.selected
 
     def test_selected_ordered_by_abs_rho(self, small_corpus):
-        report = rank_metrics(small_corpus, "web_serving", Target.PERFORMANCE, 0.3)
+        report = rank_metrics(small_corpus, "web_serving", Purpose.PERFORMANCE, 0.3)
         magnitudes = [abs(report.rho[k]) for k in report.selected]
         assert magnitudes == sorted(magnitudes, reverse=True)
         assert all(m >= 0.3 for m in magnitudes)
@@ -135,16 +135,16 @@ class TestRankMetrics:
         # DRIVERS names the metrics that causally carry each target;
         # selection at the default threshold must find all of them
         for app, template in templates.items():
-            report = rank_metrics(small_corpus, app, Target.PERFORMANCE, 0.3)
+            report = rank_metrics(small_corpus, app, Purpose.PERFORMANCE, 0.3)
             assert DRIVERS[app]["performance"] <= set(report.selected)
             if template.variable_workload:
-                wreport = rank_metrics(small_corpus, app, Target.WORKLOAD, 0.3)
+                wreport = rank_metrics(small_corpus, app, Purpose.WORKLOAD, 0.3)
                 assert DRIVERS[app]["workload"] <= set(wreport.selected)
 
     def test_render_report_marks_selection(self):
         target = [10.0, 20.0, 30.0, 40.0]
         records = _records({CPU_UTIL: target}, target)
-        text = render_report(rank_metrics(records, "demo", Target.PERFORMANCE, 0.3))
+        text = render_report(rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3))
         assert "cpu_util_pct" in text and "*" in text
 
 

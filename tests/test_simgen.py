@@ -4,7 +4,7 @@ import pytest
 from oracles import DRIVERS
 from vmsight.errors import ConfigInvalid, UnknownTemplate
 from vmsight.identify import _dtw, _pad
-from vmsight.select import Target, rank_metrics
+from vmsight.select import Purpose, rank_metrics
 from vmsight.simgen import (
     MAX_VMS,
     Constant,
@@ -257,10 +257,10 @@ class TestDriverFidelity:
         cfg = ScenarioConfig(session_duration_s=60.0, rng_seed=41)
         corpus = generate(cfg, templates, 500)
         for app, template in templates.items():
-            perf_report = rank_metrics(corpus, app, Target.PERFORMANCE, 0.3)
+            perf_report = rank_metrics(corpus, app, Purpose.PERFORMANCE, 0.3)
             for kind in DRIVERS[app]["performance"]:
                 assert abs(perf_report.rho[kind]) > 0.3, (app, kind.name)
             if template.variable_workload:
-                wl_report = rank_metrics(corpus, app, Target.WORKLOAD, 0.3)
+                wl_report = rank_metrics(corpus, app, Purpose.WORKLOAD, 0.3)
                 for kind in DRIVERS[app]["workload"]:
                     assert abs(wl_report.rho[kind]) > 0.3, (app, kind.name)
