@@ -45,7 +45,7 @@ from .neural import (
     train,
 )
 from .parallel import parallel_map
-from .select import DEFAULT_CORR_THRESHOLD, Purpose, rank_metrics
+from .select import DEFAULT_CORR_THRESHOLD, Purpose, memo_summary, rank_metrics
 from .tracemodel import MetricKind, MetricTrace, SessionRecord, fields_to_obj, read_json, write_json
 
 
@@ -258,11 +258,12 @@ def fit_models_for_corpus(
     configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
     apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
 
-    def search(app, recs, purpose):
-        baseline = purpose is Purpose.BASELINE
-        inputs = () if baseline else rank_metrics(recs, app, purpose, corr_threshold).selected
+    def search(app, recs, purpose, summary):
+        inputs = ()
+        if purpose is not Purpose.BASELINE:
+            inputs = rank_metrics(recs, app, purpose, corr_threshold, summary).selected
         try:
-            problem = prepare(recs, purpose, inputs, cfg.rng_seed)
+            problem = prepare(recs, purpose, inputs, cfg.rng_seed, summary)
         except InsufficientData as exc:
             raise InsufficientData(f"app {app!r}, {purpose.value} net: {exc}") from None
         apps.append(app)
@@ -272,16 +273,17 @@ def fit_models_for_corpus(
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        search(app, recs, Purpose.PERFORMANCE)
+        summary = memo_summary()  # the app's rankings and inputs share each trace's mean
+        search(app, recs, Purpose.PERFORMANCE, summary)
         if profiles[app].variable_workload:
-            search(app, recs, Purpose.WORKLOAD)
+            search(app, recs, Purpose.WORKLOAD, summary)
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            search(app, iso, Purpose.BASELINE)
+            search(app, iso, Purpose.BASELINE, summary)
 
     # heaviest first, so that the lanes' snake order gives them even shares
     sizes = [net_size(*task) for task in tasks]

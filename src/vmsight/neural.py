@@ -38,7 +38,8 @@ LAMBDA0 = 1e-3
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.1
 LAMBDA_CAP = 1e12
-EARLY_STOP_PATIENCE = 25  # epochs without a validation gain before stopping
+# epochs without a validation gain before stopping: MATLAB trainlm's max_fail
+EARLY_STOP_PATIENCE = 6
 SPLIT = (0.70, 0.15, 0.15)  # train/val/test fractions of an app's sessions
 REL_ERR_FLOOR = 1e-9
 _GRAD_TOL = 1e-12
@@ -190,10 +191,10 @@ def _jacobian(layers, acts) -> np.ndarray:
         pos -= fan_out
         jac[:, pos : pos + fan_out] = delta.T
         pos -= fan_out * fan_in
-        # d yhat / d W[o, j] = delta[o] * a_prev[j]
-        jac[:, pos : pos + fan_out * fan_in] = (
-            delta.T[:, :, None] * acts[i].T[:, None, :]
-        ).reshape(n, fan_out * fan_in)
+        # d yhat / d W[o, j] = delta[o] * a_prev[j], written straight into jac
+        # (a view: each row's block of columns is contiguous)
+        block = jac[:, pos : pos + fan_out * fan_in].reshape(n, fan_out, fan_in)
+        np.multiply(delta.T[:, :, None], acts[i].T[:, None, :], out=block)
         if i > 0:
             delta = (w.T @ delta) * (1.0 - acts[i] ** 2)
     return jac
@@ -230,14 +231,15 @@ def error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     return {"mean": float(np.mean(errs)), "max": float(np.max(errs)), "std": float(np.std(errs))}
 
 
-def features_from_traces(traces, metrics: Sequence[MetricKind], where: str) -> list[float]:
+def features_from_traces(traces, metrics: Sequence[MetricKind], where: str,
+                         summary=trace_summary) -> list[float]:
     missing = [k.name for k in metrics if k not in traces]
     if missing:
         raise DimensionMismatch(f"{where} lacks metrics {missing}")
-    return [trace_summary(traces[k]) for k in metrics]
+    return [summary(traces[k]) for k in metrics]
 
 
-def _design_matrix(records, purpose, input_metrics):
+def _design_matrix(records, purpose, input_metrics, summary):
     xs, ys = [], []
     for r in records:
         y = target_value(r, purpose)
@@ -250,7 +252,9 @@ def _design_matrix(records, purpose, input_metrics):
         else:
             if y is None:
                 raise InsufficientData(f"session {r.session_id} lacks a {purpose.value} target")
-            xs.append(features_from_traces(r.traces, input_metrics, f"session {r.session_id}"))
+            xs.append(
+                features_from_traces(r.traces, input_metrics, f"session {r.session_id}", summary)
+            )
         ys.append(float(y))
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
@@ -261,7 +265,8 @@ class Prepared:
     metrics, the seeded split, and per split its inputs, normalized with the
     training split's statistics (``in_norm``), and its targets.  ``prepare``
     builds it from records, a purpose, the input metrics (none for a
-    baseline net) and the split seed.  It never sees a net's widths, so a
+    baseline net), the split seed and the ``trace_summary`` that turns a
+    trace into an input.  It never sees a net's widths, so a
     width search trains every width on one problem."""
 
     purpose: Purpose
@@ -273,7 +278,7 @@ class Prepared:
     out_std: float
 
 
-def prepare(records, purpose, input_metrics, seed) -> Prepared:
+def prepare(records, purpose, input_metrics, seed, summary=trace_summary) -> Prepared:
     records = list(records)
     if len(records) < 20:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
@@ -285,7 +290,7 @@ def prepare(records, purpose, input_metrics, seed) -> Prepared:
     splits = split_sessions([r.session_id for r in records], seed)
     by_id = {r.session_id: r for r in records}
     parts = {
-        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics)
+        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics, summary)
         for name, ids in splits.items()
     }
     x_train, y_train = parts["train"]
@@ -363,9 +368,10 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
 
     Updates solve (J'J + lambda*I) delta = J'r; lambda shrinks by
     LAMBDA_DOWN on accepted steps and grows by LAMBDA_UP on rejections.
-    Training stops at cfg.max_epochs or after EARLY_STOP_PATIENCE epochs
-    without validation improvement, and the best-validation weights are
-    returned.  Deterministic given the problem and cfg.rng_seed, and, on
+    Training stops at cfg.max_epochs, after EARLY_STOP_PATIENCE epochs
+    without validation improvement (trainlm's max_fail, 6), or when damping
+    passes LAMBDA_CAP after an accepted epoch; the best-validation weights
+    are returned.  Deterministic given the problem and cfg.rng_seed, and, on
     numpy's bundled OpenBLAS, independent of the BLAS thread count: the call
     holds BLAS at one thread.
     """
@@ -392,12 +398,12 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
 
     def val_error(layers) -> float:
         pred = _activations(layers, xv)[-1][0] * out_std + out_mean
-        return float(np.mean(_rel_errors(pred, y_val)))
+        e = _rel_errors(pred, y_val)
+        return float(np.add.reduce(e) / e.shape[0])  # np.mean's arithmetic, without its dispatch
 
     lam = LAMBDA0
     # the accepted weights' forward pass, which the next epoch's Jacobian reuses
     theta, layers, acts, r, sse = forward(_pack(layers))
-    eye = np.eye(theta.shape[0])
 
     best_theta = theta.copy()
     best_val = val_error(layers)
@@ -410,9 +416,11 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
         if float(np.max(np.abs(grad))) < _GRAD_TOL:
             break
         hess = jac.T @ jac
+        jtj_diag = hess.diagonal().copy()
         while lam <= LAMBDA_CAP:
+            hess.flat[:: hess.shape[0] + 1] = jtj_diag + lam  # J'J + lam*I, set afresh per lam
             try:
-                delta = np.linalg.solve(hess + lam * eye, grad)
+                delta = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
                 continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,20 @@ def trace_summary(trace: MetricTrace) -> float:
     samples = trace.samples
     # np.mean's own pairwise sum and single division, without its dispatch
     return float(np.add.reduce(samples) / samples.shape[0])
+
+
+def memo_summary() -> Callable[[MetricTrace], float]:
+    """A ``trace_summary`` that computes each trace's mean once.  It keys on
+    the trace's id, so use it only while every trace it saw is alive."""
+    means: dict[int, float] = {}
+
+    def summary(trace: MetricTrace) -> float:
+        mean = means.get(id(trace))
+        if mean is None:
+            mean = means[id(trace)] = trace_summary(trace)
+        return mean
+
+    return summary
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -98,8 +112,10 @@ def rank_metrics(
     app: str,
     target: Purpose,
     threshold: float = DEFAULT_CORR_THRESHOLD,
+    summary: Callable[[MetricTrace], float] = trace_summary,
 ) -> CorrelationReport:
-    """Correlate every shared metric of ``app``'s sessions with the target.
+    """Correlate every shared metric of ``app``'s sessions, each session's
+    ``summary`` of it, with the target.
 
     Metrics with zero variance (dead counters) are reported with rho = 0 and
     never selected, instead of aborting the whole ranking.  ``selected``
@@ -121,7 +137,7 @@ def rank_metrics(
     targets = [float(target_value(r, target)) for r in usable]
     rho: dict[MetricKind, float] = {}
     for kind in sorted(metrics, key=lambda k: k.name):
-        series = [trace_summary(r.traces[kind]) for r in usable]
+        series = [summary(r.traces[kind]) for r in usable]
         try:
             rho[kind] = pearson(series, targets)
         except ConstantSeries:

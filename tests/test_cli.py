@@ -700,6 +700,22 @@ class TestTrain:
             f"session {row['session_id']} lacks a performance target"
         )
 
+    def test_corpus_without_isolated_sessions_is_refused(self, capsys, tmp_path):
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert main(["simulate", "--out", corpus, "--sessions", "120", "--duration-s", "30",
+                     "--seed", "2"]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "train", "--corpus", corpus, "--models", str(tmp_path / "models"),
+            "--apps", "data_serving",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "InsufficientData: app 'data_serving' has only 0 interference-free sessions; "
+            "the baseline net needs >= 20\n"
+        )
+        assert not os.path.exists(tmp_path / "models")
+
 
 class TestTextOutput:
     """Without --json, a subcommand prints a human rendering of the JSON it

@@ -1,9 +1,11 @@
+import collections
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from vmsight import degrade
+from vmsight import degrade, select
 from vmsight.degrade import (
     AppProfile,
     ModelStore,
@@ -313,6 +315,33 @@ class TestPipelineIsolation:
         variable = sum(p.variable_workload for p in profiles.values())
         assert calls["rank_metrics"] == len(profiles) + variable
         assert calls["train"] == len(store) * len(grid) == (len(profiles) + 2 * variable) * 2
+
+    def test_corpus_fit_summarizes_each_trace_once(self, small_corpus, profiles, monkeypatch):
+        # the rankings and the nets' inputs share one mean per trace: each
+        # app's rank_metrics and prepare calls get one memo between them
+        counts = collections.Counter()
+        real = select.trace_summary
+
+        def counting(trace):
+            counts[id(trace)] += 1
+            return real(trace)
+
+        monkeypatch.setattr(select, "trace_summary", counting)
+        summaries = collections.defaultdict(set)  # app -> the summaries its calls got
+        for name in ("rank_metrics", "prepare"):
+            def spying(*args, _real=getattr(degrade, name), **kwargs):
+                bound = inspect.signature(_real).bind(*args, **kwargs).arguments
+                for app in {r.app_label for r in bound["records"]}:
+                    summaries[app].add(bound.get("summary", real))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(degrade, name, spying)
+        fit_models_for_corpus(small_corpus, profiles, cfg=TrainConfig(rng_seed=0, max_epochs=5))
+        traces = [t for r in small_corpus if r.app_label in profiles for t in r.traces.values()]
+        assert counts == collections.Counter(id(t) for t in traces)
+        assert sorted(summaries) == sorted(profiles)
+        for app, seen in summaries.items():
+            assert len(seen) == 1 and real not in seen, app
 
 
 class TestEvaluateDegradation:

@@ -16,7 +16,9 @@ from vmsight.errors import (
     NonFiniteInput,
 )
 from vmsight.neural import (
+    EARLY_STOP_PATIENCE,
     LAMBDA0,
+    LAMBDA_UP,
     MlpModel,
     Purpose,
     TrainConfig,
@@ -64,6 +66,48 @@ def selection(records):
 
 def fit(records, purpose, input_metrics, cfg):
     return train(prepare(records, purpose, input_metrics, cfg.rng_seed), cfg)
+
+
+class ValidationCurve:
+    """Records, in ``errors``, the validation error ``train`` computes after
+    each epoch (the initial weights' first), and the weights it was computed
+    for.  With a ``script``, the k-th validation error is ``script[k]``
+    instead of the real one."""
+
+    def __init__(self, monkeypatch, problem, script=None):
+        self.errors, self.layers = [], []
+        x_val, y_val = problem.parts["val"]
+        real_activations, real_rel_errors = neural._activations, neural._rel_errors
+        real_report = neural._build_report
+        training = [True]
+
+        def activations(layers, x):
+            if training[0] and x is x_val:
+                self.layers.append([(w.copy(), b.copy()) for w, b in layers])
+            return real_activations(layers, x)
+
+        def rel_errors(pred, truth):
+            e = real_rel_errors(pred, truth)
+            if training[0] and truth is y_val:
+                if script is not None:
+                    e = np.full(e.shape, script[len(self.errors)])
+                self.errors.append(float(np.add.reduce(e) / e.shape[0]))
+            return e
+
+        def build_report(*args):
+            training[0] = False
+            return real_report(*args)
+
+        monkeypatch.setattr(neural, "_activations", activations)
+        monkeypatch.setattr(neural, "_rel_errors", rel_errors)
+        monkeypatch.setattr(neural, "_build_report", build_report)
+
+    def assert_holds(self, model, epoch):
+        """``model`` has the weights whose validation error was computed
+        after ``epoch`` epochs."""
+        assert len(self.layers) == len(self.errors)
+        for (w, b), (w_k, b_k) in zip(model.layers, self.layers[epoch], strict=True):
+            assert np.array_equal(w, w_k) and np.array_equal(b, b_k)
 
 
 def finite_difference_jacobian(theta, dims, x, y, eps=1e-6):
@@ -192,6 +236,59 @@ class TestTrain:
         monkeypatch.setattr(neural, "LAMBDA0", 5e12)
         with pytest.raises(Diverged):
             fit(records, Purpose.PERFORMANCE, selection(records), TrainConfig())
+
+    def test_singular_solve_retries_with_more_damping(self, monkeypatch):
+        """A solve that raises once trains what starting one damping step
+        higher trains: each lambda's system is J'J + lambda*I afresh."""
+        records = linear_records(noise=0.3)
+        cfg = TrainConfig(hidden_sizes=(6,), max_epochs=40)
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg.rng_seed)
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve(a, b):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", solve)
+            retried = train(problem, cfg)
+        monkeypatch.setattr(neural, "LAMBDA0", LAMBDA0 * LAMBDA_UP)
+        expected = train(problem, cfg)
+        assert len(calls) > 1
+        assert model_to_obj(*retried) == model_to_obj(*expected)
+        assert retried[1].epochs_run > 0
+
+    def test_damping_exhausted_after_an_accepted_epoch_keeps_the_best(self, monkeypatch):
+        records = linear_records(noise=0.3)
+        cfg = TrainConfig(hidden_sizes=(6,), max_epochs=200)
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg.rng_seed)
+        monkeypatch.setattr(neural, "LAMBDA_CAP", LAMBDA0)
+        curve = ValidationCurve(monkeypatch, problem)
+        model, report = train(problem, cfg)
+        assert report.final_lambda > neural.LAMBDA_CAP  # the damping ran out
+        assert 0 < report.epochs_run < cfg.max_epochs
+        assert len(curve.errors) == report.epochs_run + 1
+        curve.assert_holds(model, int(np.argmin(curve.errors)))
+        assert report.errors["val"]["mean"] == pytest.approx(100 * min(curve.errors), rel=1e-12)
+
+    @pytest.mark.parametrize("best, max_epochs", [(0, 200), (3, 200), (3, 5), (12, 200)])
+    def test_stops_patience_epochs_after_the_last_validation_gain(
+        self, monkeypatch, best, max_epochs
+    ):
+        records = linear_records(noise=0.3)
+        cfg = TrainConfig(hidden_sizes=(6,), max_epochs=max_epochs)
+        problem = prepare(records, Purpose.PERFORMANCE, selection(records), cfg.rng_seed)
+        # falls to epoch ``best``; later epochs only tie it or do worse
+        script = [10.0 - k for k in range(best + 1)]
+        script += [script[-1] + (k % 2) for k in range(EARLY_STOP_PATIENCE + 5)]
+        curve = ValidationCurve(monkeypatch, problem, script)
+        model, report = train(problem, cfg)
+        assert report.epochs_run == min(best + EARLY_STOP_PATIENCE, max_epochs)
+        assert curve.errors == script[: report.epochs_run + 1]
+        curve.assert_holds(model, min(best, max_epochs))
 
     def test_corrupting_test_targets_changes_nothing(self):
         # test rows must never influence the weights
