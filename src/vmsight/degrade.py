@@ -45,8 +45,16 @@ from .neural import (
     train,
 )
 from .parallel import parallel_map
-from .select import DEFAULT_CORR_THRESHOLD, Purpose, memo_summary, rank_metrics
-from .tracemodel import MetricKind, MetricTrace, SessionRecord, fields_to_obj, read_json, write_json
+from .select import DEFAULT_CORR_THRESHOLD, Purpose, rank_metrics
+from .tracemodel import (
+    MetricKind,
+    MetricTrace,
+    SessionRecord,
+    fields_to_obj,
+    fmt,
+    read_json,
+    write_json,
+)
 
 
 class Orientation(enum.Enum):
@@ -102,10 +110,10 @@ def reports_to_csv(reports: Sequence["DegradationReport"]) -> str:
     """Batch CSV: one row per session, empty cell for absent workload."""
     lines = ["session_id,label,perf_pred,workload_pred,perf_base,deg"]
     for r in reports:
-        workload = "" if r.workload_pred is None else f"{r.workload_pred:.9g}"
+        workload = "" if r.workload_pred is None else fmt(r.workload_pred)
         lines.append(
-            f"{r.session_id},{r.label},{r.perf_pred:.9g},{workload},"
-            f"{r.perf_base:.9g},{r.deg:.9g}"
+            f"{r.session_id},{r.label},{fmt(r.perf_pred)},{workload},"
+            f"{fmt(r.perf_base)},{fmt(r.deg)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -258,12 +266,12 @@ def fit_models_for_corpus(
     configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
     apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
 
-    def search(app, recs, purpose, summary):
+    def search(app, recs, purpose):
         inputs = ()
         if purpose is not Purpose.BASELINE:
-            inputs = rank_metrics(recs, app, purpose, corr_threshold, summary).selected
+            inputs = rank_metrics(recs, app, purpose, corr_threshold).selected
         try:
-            problem = prepare(recs, purpose, inputs, cfg.rng_seed, summary)
+            problem = prepare(recs, purpose, inputs, cfg.rng_seed)
         except InsufficientData as exc:
             raise InsufficientData(f"app {app!r}, {purpose.value} net: {exc}") from None
         apps.append(app)
@@ -273,17 +281,16 @@ def fit_models_for_corpus(
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        summary = memo_summary()  # the app's rankings and inputs share each trace's mean
-        search(app, recs, Purpose.PERFORMANCE, summary)
+        search(app, recs, Purpose.PERFORMANCE)
         if profiles[app].variable_workload:
-            search(app, recs, Purpose.WORKLOAD, summary)
+            search(app, recs, Purpose.WORKLOAD)
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            search(app, iso, Purpose.BASELINE, summary)
+            search(app, iso, Purpose.BASELINE)
 
     # heaviest first, so that the lanes' snake order gives them even shares
     sizes = [net_size(*task) for task in tasks]

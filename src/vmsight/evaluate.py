@@ -24,7 +24,7 @@ from .identify import _decide, _rows, build_fingerprint_db
 from .neural import TrainConfig, features_from_traces, predict, prepare, train
 from .select import Purpose, rank_metrics
 from .simgen import AppTemplate, ScenarioConfig, generate
-from .tracemodel import SessionRecord, metric_by_name
+from .tracemodel import SessionRecord, fmt, metric_by_name
 
 ABLATION_METRICS = ("cpu_util_pct",)  # the fingerprint metrics the DTW ablation matches on
 LATENCY_BOUND_MS = 1.0  # the degradation chain's latency bound, per session
@@ -65,7 +65,7 @@ class ExperimentResult:
         rows = zip(*(self.series[k] for k in keys))
         lines = [",".join(keys)]
         for row in rows:
-            lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 

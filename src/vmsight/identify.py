@@ -27,6 +27,7 @@ from .errors import (
     TooShort,
 )
 from .tracemodel import (
+    STANDARD_METRICS,
     MetricKind,
     MetricTrace,
     SessionRecord,
@@ -153,6 +154,8 @@ class FingerprintDb:
         if not (0 < self.distance_threshold < math.inf):
             raise ValueError("distance_threshold must be positive and finite")
         for name, value in self.metric_thresholds.items():
+            if name not in STANDARD_METRICS:
+                raise ValueError(f"metric_thresholds: {name}: names no metric")
             if not (0 < value < math.inf):
                 raise ValueError(f"threshold for {name} must be positive and finite")
         entries = tuple(self.entries)

@@ -231,15 +231,14 @@ def error_stats(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     return {"mean": float(np.mean(errs)), "max": float(np.max(errs)), "std": float(np.std(errs))}
 
 
-def features_from_traces(traces, metrics: Sequence[MetricKind], where: str,
-                         summary=trace_summary) -> list[float]:
+def features_from_traces(traces, metrics: Sequence[MetricKind], where: str) -> list[float]:
     missing = [k.name for k in metrics if k not in traces]
     if missing:
         raise DimensionMismatch(f"{where} lacks metrics {missing}")
-    return [summary(traces[k]) for k in metrics]
+    return [trace_summary(traces[k]) for k in metrics]
 
 
-def _design_matrix(records, purpose, input_metrics, summary):
+def _design_matrix(records, purpose, input_metrics):
     xs, ys = [], []
     for r in records:
         y = target_value(r, purpose)
@@ -252,9 +251,7 @@ def _design_matrix(records, purpose, input_metrics, summary):
         else:
             if y is None:
                 raise InsufficientData(f"session {r.session_id} lacks a {purpose.value} target")
-            xs.append(
-                features_from_traces(r.traces, input_metrics, f"session {r.session_id}", summary)
-            )
+            xs.append(features_from_traces(r.traces, input_metrics, f"session {r.session_id}"))
         ys.append(float(y))
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
@@ -265,8 +262,7 @@ class Prepared:
     metrics, the seeded split, and per split its inputs, normalized with the
     training split's statistics (``in_norm``), and its targets.  ``prepare``
     builds it from records, a purpose, the input metrics (none for a
-    baseline net), the split seed and the ``trace_summary`` that turns a
-    trace into an input.  It never sees a net's widths, so a
+    baseline net) and the split seed.  It never sees a net's widths, so a
     width search trains every width on one problem."""
 
     purpose: Purpose
@@ -278,7 +274,7 @@ class Prepared:
     out_std: float
 
 
-def prepare(records, purpose, input_metrics, seed, summary=trace_summary) -> Prepared:
+def prepare(records, purpose, input_metrics, seed) -> Prepared:
     records = list(records)
     if len(records) < 20:
         raise InsufficientData(f"need >= 20 records, got {len(records)}")
@@ -290,7 +286,7 @@ def prepare(records, purpose, input_metrics, seed, summary=trace_summary) -> Pre
     splits = split_sessions([r.session_id for r in records], seed)
     by_id = {r.session_id: r for r in records}
     parts = {
-        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics, summary)
+        name: _design_matrix([by_id[sid] for sid in ids], purpose, input_metrics)
         for name, ids in splits.items()
     }
     x_train, y_train = parts["train"]

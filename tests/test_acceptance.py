@@ -10,6 +10,7 @@ import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,12 +378,12 @@ class TestCriterion11Determinism:
                 "--duration-s", "120", "--seed", "11", "--isolated", "22",
                 "--profiles-out", profiles,
             )
-            out["simulate"] = open(corpus, "rb").read() + open(profiles, "rb").read()
+            out["simulate"] = Path(corpus).read_bytes() + Path(profiles).read_bytes()
             self.cli(
                 env, "fingerprint", "--corpus", corpus, "--out", db,
                 "--refs-per-app", "2",
             )
-            out["fingerprint"] = open(os.path.join(db, "db.json"), "rb").read()
+            out["fingerprint"] = Path(db, "db.json").read_bytes()
             out["identify"] = self.cli(
                 env, "identify", "--corpus", corpus, "--db", db, "--json"
             )
@@ -395,7 +396,7 @@ class TestCriterion11Determinism:
                 "--models", models, "--seed", "0", "--max-epochs", "60", "--json",
             )
             out["train-files"] = b"".join(
-                open(os.path.join(root, f), "rb").read()
+                Path(root, f).read_bytes()
                 for root, _, files in sorted(os.walk(models))
                 for f in sorted(files)
             )

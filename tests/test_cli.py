@@ -9,6 +9,7 @@ import re
 import shutil
 import tempfile
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,7 +169,7 @@ class TestFingerprint:
         ],
     )
     def test_huge_integer_is_a_parse_error(self, capsys, workspace, tmp_path, plant):
-        first, *rest = open(workspace["corpus"]).read().splitlines()
+        first, *rest = Path(workspace["corpus"]).read_text().splitlines()
         obj = json.loads(first)
         plant(obj)
         corpus = tmp_path / "corpus.jsonl"
@@ -181,7 +182,7 @@ class TestFingerprint:
         assert "number too large for a float" in err
 
     def test_reserved_label_is_a_parse_error(self, capsys, workspace, tmp_path):
-        first, *rest = open(workspace["corpus"]).read().splitlines()
+        first, *rest = Path(workspace["corpus"]).read_text().splitlines()
         obj = json.loads(first)
         obj["app_label"] = "unknown"
         corpus = tmp_path / "corpus.jsonl"
@@ -329,6 +330,11 @@ class TestIdentify:
                 "ParseError: db.json", id="metric-threshold-0",
             ),
             pytest.param(
+                _edit_index(lambda index: index["metric_thresholds"].update(cpu_util=1e-9)),
+                "ParseError: db.json: metric_thresholds: cpu_util",
+                id="metric-threshold-names-no-metric",
+            ),
+            pytest.param(
                 _edit_index(lambda index: index.update(entries=[])),
                 "ParseError: db.json", id="no-entries",
             ),
@@ -350,7 +356,7 @@ class TestIdentify:
 def _edit_third_session(corpus, tmp_path, edit):
     """A corpus of the first 6 sessions of ``corpus``, the third one edited,
     and that session's id."""
-    lines = open(corpus).read().splitlines()[:6]
+    lines = Path(corpus).read_text().splitlines()[:6]
     record = json.loads(lines[2])
     edit(record)
     lines[2] = json.dumps(record, sort_keys=True)
@@ -431,7 +437,7 @@ class TestPredict:
         + [("kv_store", "perf_metric_name", v) for v in (5, ["x"])],
     )
     def test_bad_profile_is_a_parse_error(self, capsys, workspace, tmp_path, app, key, value):
-        profiles = json.loads(open(workspace["profiles"]).read())
+        profiles = json.loads(Path(workspace["profiles"]).read_text())
         profiles[app][key] = value
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(profiles))
@@ -459,7 +465,7 @@ class TestPredict:
             out,
         )
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0].startswith("session_id,label,")
         assert len(lines) > 100
 
@@ -486,7 +492,7 @@ class TestPredict:
         # keep only the outsider sessions
         lines = [
             line
-            for line in open(outsider).read().splitlines()
+            for line in Path(outsider).read_text().splitlines()
             if '"app_label": "batch_transcoder"' in line
         ]
         with open(outsider, "w") as fh:
@@ -513,13 +519,13 @@ class TestPredict:
     def test_session_without_profile_or_model_keeps_the_batch(
         self, capsys, workspace, tmp_path, error
     ):
-        lines = open(workspace["corpus"]).read().splitlines()[:40]  # two apps
+        lines = Path(workspace["corpus"]).read_text().splitlines()[:40]  # two apps
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
         gone = json.loads(lines[0])["app_label"]
         models, profiles = tmp_path / "models", tmp_path / "profiles.json"
         shutil.copytree(workspace["models"], models)
-        obj = json.loads(open(workspace["profiles"]).read())
+        obj = json.loads(Path(workspace["profiles"]).read_text())
         if error == "MissingProfile":
             del obj[gone]
         else:
@@ -652,7 +658,7 @@ class TestPredict:
 def _head(corpus, tmp_path, n):
     """A corpus file of the first ``n`` sessions of ``corpus``."""
     path = tmp_path / "head.jsonl"
-    path.write_text("".join(open(corpus).readlines()[:n]))
+    path.write_text("".join(Path(corpus).read_text().splitlines(keepends=True)[:n]))
     return str(path)
 
 
@@ -685,7 +691,7 @@ class TestTrain:
         )
 
     def test_session_without_a_target_is_named(self, capsys, workspace, tmp_path):
-        rows = [json.loads(line) for line in open(workspace["corpus"])]
+        rows = [json.loads(line) for line in Path(workspace["corpus"]).read_text().splitlines()]
         row = next(r for r in rows if r["app_label"] == "data_serving")
         row["performance"] = None
         corpus = tmp_path / "corpus.jsonl"
@@ -746,10 +752,10 @@ class TestTextOutput:
             assert float(value) == pytest.approx(obj["rho"][name], abs=5e-4)
 
     def test_predict_prints_each_report_and_error(self, capsys, workspace, tmp_path):
-        lines = open(workspace["corpus"]).read().splitlines()[:40]  # two apps
+        lines = Path(workspace["corpus"]).read_text().splitlines()[:40]  # two apps
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
-        profiles = json.loads(open(workspace["profiles"]).read())
+        profiles = json.loads(Path(workspace["profiles"]).read_text())
         del profiles[json.loads(lines[0])["app_label"]]
         (tmp_path / "profiles.json").write_text(json.dumps(profiles))
         text, obj = self.both(
@@ -817,6 +823,15 @@ class TestTextOutput:
         summary = json.loads(out)["summary"]
         assert sorted(summary) == ["app", "bound_met", "bound_ms", "n_queries"]
         assert summary["app"] == "data_serving" and summary["n_queries"] == 20
+
+    def test_timing_for_an_app_without_sessions_is_refused(self, capsys, workspace):
+        code, out, err = run(
+            capsys, "evaluate", "--experiment", "timing", "--corpus", workspace["corpus"],
+            "--models", workspace["models"], "--profiles", workspace["profiles"],
+            "--app", "nosuch",
+        )
+        assert (code, out) == (1, "")
+        assert err == "ConfigInvalid: corpus has no sessions for app 'nosuch'\n"
 
 
 class TestConfigFile:
@@ -1167,7 +1182,7 @@ class TestBadFiles:
     @pytest.mark.parametrize("command", ["fingerprint", "identify"])
     def test_zero_period_names_the_line(self, capsys, monkeypatch, workspace, tmp_path,
                                         command, native):
-        lines = open(workspace["corpus"]).read().splitlines()[:3]
+        lines = Path(workspace["corpus"]).read_text().splitlines()[:3]
         lines[1] = re.sub(r'"period_s": [^,]+', '"period_s": 0', lines[1])
         corpus = tmp_path / "c.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
@@ -1213,7 +1228,7 @@ class TestDeterminism:
                 == 0
             )
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_select_metrics_rerun_identical(self, capsys, workspace):
         args = (

@@ -1,11 +1,9 @@
-import collections
-import inspect
 import json
 
 import numpy as np
 import pytest
 
-from vmsight import degrade, select
+from vmsight import degrade
 from vmsight.degrade import (
     AppProfile,
     ModelStore,
@@ -316,33 +314,6 @@ class TestPipelineIsolation:
         assert calls["rank_metrics"] == len(profiles) + variable
         assert calls["train"] == len(store) * len(grid) == (len(profiles) + 2 * variable) * 2
 
-    def test_corpus_fit_summarizes_each_trace_once(self, small_corpus, profiles, monkeypatch):
-        # the rankings and the nets' inputs share one mean per trace: each
-        # app's rank_metrics and prepare calls get one memo between them
-        counts = collections.Counter()
-        real = select.trace_summary
-
-        def counting(trace):
-            counts[id(trace)] += 1
-            return real(trace)
-
-        monkeypatch.setattr(select, "trace_summary", counting)
-        summaries = collections.defaultdict(set)  # app -> the summaries its calls got
-        for name in ("rank_metrics", "prepare"):
-            def spying(*args, _real=getattr(degrade, name), **kwargs):
-                bound = inspect.signature(_real).bind(*args, **kwargs).arguments
-                for app in {r.app_label for r in bound["records"]}:
-                    summaries[app].add(bound.get("summary", real))
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(degrade, name, spying)
-        fit_models_for_corpus(small_corpus, profiles, cfg=TrainConfig(rng_seed=0, max_epochs=5))
-        traces = [t for r in small_corpus if r.app_label in profiles for t in r.traces.values()]
-        assert counts == collections.Counter(id(t) for t in traces)
-        assert sorted(summaries) == sorted(profiles)
-        for app, seen in summaries.items():
-            assert len(seen) == 1 and real not in seen, app
-
 
 class TestEvaluateDegradation:
     def test_own_predictions_score_zero(self, small_corpus, profiles, trained_store):
@@ -382,6 +353,17 @@ class TestEvaluateDegradation:
     def test_empty_truth_rejected(self, small_corpus, profiles, trained_store):
         with pytest.raises(InsufficientData):
             evaluate_degradation(small_corpus, profiles, trained_store, {})
+
+    def test_no_test_split_session_rejected(self, small_corpus, profiles, trained_store):
+        train = {
+            sid
+            for app in profiles
+            for sid in trained_store.report(app, Purpose.PERFORMANCE).split_ids["train"]
+        }
+        trained_on = [r for r in small_corpus if r.session_id in train]
+        truth = {r.session_id: 1.0 for r in trained_on}
+        with pytest.raises(InsufficientData, match="^evaluation produced an empty test split$"):
+            evaluate_degradation(trained_on, profiles, trained_store, truth)
 
     def test_csv_and_text_rendering(self, small_corpus, profiles, trained_store, templates):
         truth = {

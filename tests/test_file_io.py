@@ -255,5 +255,5 @@ def test_concurrent_writers_of_one_path_each_leave_a_whole_file(tmp_path):
     for w in writers:
         w.join(timeout=60)
     assert [(w.is_alive(), w.exitcode) for w in writers] == [(False, 0), (False, 0)]
-    assert open(path).read() in texts
+    assert Path(path).read_text() in texts
     assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]

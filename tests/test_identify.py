@@ -436,6 +436,11 @@ class TestBuildDb:
         with pytest.raises(ValueError, match="reserved"):
             toy_db([(UNKNOWN, trace([1, 2, 3]))])
 
+    def test_threshold_for_no_metric_rejected(self):
+        sessions = self._sessions("ab", 1)
+        with pytest.raises(ValueError, match="^metric_thresholds: cpu_util: names no metric$"):
+            build_fingerprint_db(sessions, [CPU_UTIL], 1, metric_thresholds={"cpu_util": 1e-9})
+
     def test_mixed_periods_refused(self):
         with pytest.raises(PeriodMismatch, match="cpu_util_pct"):
             toy_db([("a", trace([1, 2, 3])), ("b", trace([1, 2, 3], period=2.0))])

@@ -111,6 +111,11 @@ class TestRankMetrics:
         records = _records({CPU_UTIL: [1.0]}, [1.0])
         with pytest.raises(InsufficientData):
             rank_metrics(records, "demo", Purpose.PERFORMANCE, 0.3)
+        # two sessions, one metric each, and not the same one
+        apart = _records({CPU_UTIL: [1.0]}, [1.0], app="x")
+        apart += _records({NET_RX: [2.0]}, [2.0], app="x")
+        with pytest.raises(InsufficientData, match="^sessions of app 'x' share no metrics$"):
+            rank_metrics(apart, "x", Purpose.PERFORMANCE, 0.3)
 
     def test_other_apps_ignored(self):
         target = [10.0, 20.0, 30.0]

@@ -765,6 +765,15 @@ class TestCsv:
             save_corpus([make_record("a"), bad], str(out), format="csv")
         assert not out.exists()
 
+    def test_unequal_lengths_are_io_error_before_any_file(self, tmp_path):
+        record = make_record("b")  # 10 samples per trace
+        traces = {**record.traces, NET_RX: MetricTrace(NET_RX, np.ones(7))}
+        bad = SessionRecord(**{**vars(record), "traces": traces})
+        out = tmp_path / "corpus"
+        with pytest.raises(IoError, match="^session b: CSV format requires equal-length traces$"):
+            save_corpus([make_record("a"), bad], str(out), format="csv")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
