@@ -1,4 +1,8 @@
-/* A strict parser for one JSONL corpus line (see tracemodel.py).
+/* The JSONL corpus format's hot loops in C (see tracemodel.py): one function
+ * parses a line, the other prints a trace's samples.  Each either does its
+ * job exactly or declines, and the caller then does it in Python, so no
+ * output depends on whether this file could be built.  No call depends on
+ * the locale, and neither calls printf or strtod.
  *
  * vmsight_parse_record() reads one line, JSON whitespace allowed at both
  * ends, and either accepts it or declines it; the caller parses a declined
@@ -17,9 +21,9 @@
  * the correctly rounded value (Clinger, PLDI 1990): a decimal mantissa w
  * of at most 2^53 times 10^e with |e| <= 22, computed as w * 10^e or
  * w / 10^-e, or a zero mantissa.  Any other number, and any exponent
- * written with more than 4 digits, declines the line.  No call depends on
- * the locale.  An integer token "-0" gives +0.0, as Python's
- * float(int("-0")) does; "-0.0" and "-0e0" give -0.0.
+ * written with more than 4 digits, declines the line.  An integer token
+ * "-0" gives +0.0, as Python's float(int("-0")) does; "-0.0" and "-0e0"
+ * give -0.0.
  *
  * Outputs, valid when the line is accepted:
  *     spans[0], spans[1]   session_id as [start, end) offsets in the line
@@ -31,8 +35,27 @@
  * samples has room for cap values and spans for 4 + 4 * max_traces; a line
  * that needs more is declined.  The return value is the number of traces,
  * or -1 when the line is declined.
+ *
+ * vmsight_format_samples() writes n samples, already rounded to 9
+ * significant digits, as "[v0, v1, ...]": json.dumps's text of the list,
+ * byte for byte as tracemodel._samples_text writes it.  A whole sample
+ * (integral, below 1e16 in magnitude) is its integer digits and ".0", sign
+ * kept, so -0.0 stays "-0.0"; any other is "%.9g"'s text.  That text is
+ * printed from the decimal the sample came from, never rounded here
+ * (Steele & White, PLDI 1990), and each is proved exact by one IEEE
+ * operation, as the parser's numbers are: for the k with |k| <= 22 that
+ * makes n = rint(|v| * 10^k) (or |v| / 10^-k) a 9-digit integer,
+ * n / 10^k (or n * 10^-k), correctly rounded from exact operands, must
+ * give |v| back.  Then |v| is the double nearest n * 10^-k, within half an
+ * ulp of it and so far inside half a unit of the 9th digit, and "%.9g"
+ * prints exactly n's digits.  A subnormal, a non-finite value and a sample
+ * that fails the check decline the whole call; the caller then prints the
+ * samples in Python.  out must have room for 2 + 32 * n bytes (a sample
+ * takes at most 19, its separator 2).  The return value is the number of
+ * bytes written, or -1 when the call is declined.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -332,4 +355,119 @@ long vmsight_parse_record(const char *line, long n, double *samples, long cap, l
     }
     skip_ws(&c);
     return c.i == c.n && seen == 0x7f ? ntr : -1;
+}
+
+/* The decimal digits of v, most significant first; their count. */
+static int put_uint(char *out, uint64_t v)
+{
+    char tmp[20];
+    int n = 0, i;
+    do {
+        tmp[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    for (i = 0; i < n; i++)
+        out[i] = tmp[n - 1 - i];
+    return n;
+}
+
+/* a * 10^k, one rounding where |k| <= 22; -1 where |k| is larger. */
+INLINE double scaled(double a, int k)
+{
+    return k > 22 || k < -22 ? -1.0 : k >= 0 ? a * P10[k] : a / P10[-k];
+}
+
+/* One sample's text at out; the bytes written, or -1 to decline. */
+INLINE long format_sample(double v, char *out)
+{
+    char *o = out, d[9];
+    double a = fabs(v), p, n;
+    int e, k, x, last, i;
+    uint32_t m;
+
+    if (!(a <= DBL_MAX))
+        return -1;
+    if (signbit(v))
+        *o++ = '-';
+    if (a < 1e16 && a == trunc(a)) {
+        o += put_uint(o, (uint64_t)a);
+        *o++ = '.';
+        *o++ = '0';
+        return o - out;
+    }
+    if (a < DBL_MIN)
+        return -1;
+    /* a lies in [2^(e-1), 2^e), so floor(log10 a) is d or d + 1 */
+    frexp(a, &e);
+    k = 8 - (int)floor((e - 1) * 0.30102999566398120);
+    p = scaled(a, k);
+    if (p >= 1e9 || p < 0)
+        p = scaled(a, --k);
+    n = rint(p);
+    if (n == 1e9) { /* a lies just below a power of ten */
+        n = 1e8;
+        k--;
+    }
+    if (!(n >= 1e8 && n < 1e9) || scaled(n, -k) != a)
+        return -1;
+    m = (uint32_t)n;
+    for (i = 8; i >= 0; i--) {
+        d[i] = (char)('0' + m % 10);
+        m /= 10;
+    }
+    for (last = 8; last > 0 && d[last] == '0'; last--)
+        ; /* "%g" drops trailing zeros */
+    x = 8 - k; /* the decimal exponent of d[0] */
+    if (x >= 0 && x < 9) {
+        memcpy(o, d, (size_t)x + 1);
+        o += x + 1;
+        if (last > x) {
+            *o++ = '.';
+            memcpy(o, d + x + 1, (size_t)(last - x));
+            o += last - x;
+        }
+    } else if (x < 0 && x >= -4) {
+        *o++ = '0';
+        *o++ = '.';
+        for (i = -1; i > x; i--)
+            *o++ = '0';
+        memcpy(o, d, (size_t)last + 1);
+        o += last + 1;
+    } else {
+        *o++ = d[0];
+        if (last > 0) {
+            *o++ = '.';
+            memcpy(o, d + 1, (size_t)last);
+            o += last;
+        }
+        *o++ = 'e';
+        *o++ = x < 0 ? '-' : '+';
+        if (x < 0)
+            x = -x;
+        if (x >= 100)
+            *o++ = (char)('0' + x / 100);
+        *o++ = (char)('0' + x / 10 % 10);
+        *o++ = (char)('0' + x % 10);
+    }
+    return o - out;
+}
+
+long vmsight_format_samples(const double *samples, long n, char *out)
+{
+    char *o = out;
+    long i, len;
+
+    *o++ = '[';
+    for (i = 0; i < n; i++) {
+        if (i > 0) {
+            *o++ = ',';
+            *o++ = ' ';
+        }
+        len = format_sample(samples[i], o);
+        if (len < 0)
+            return -1;
+        o += len;
+    }
+    *o++ = ']';
+    return o - out;
 }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import enum
+import functools
 import itertools
 import json
 import math
@@ -410,15 +411,42 @@ def _check_writable(record: SessionRecord) -> None:
         raise IoError(f"session {record.session_id}: cannot write a non-finite number")
 
 
-def _samples_text(q: np.ndarray, whole: np.ndarray) -> str:
+def _samples_text(q: np.ndarray) -> str:
     """``json.dumps(q.tolist())`` for quantized samples without json's repr
     search: "%.9g" prints repr's digits, as each q is the double nearest a
-    decimal of <= SIG_DIGITS digits, but repr writes ``whole`` values
-    (integral, below 1e16) as "<n>.0", and a subnormal may have fewer digits."""
+    decimal of <= SIG_DIGITS digits, but repr writes whole values (integral,
+    below 1e16) as "<n>.0", and a subnormal may have fewer digits."""
     if ((q != 0) & (np.abs(q) < np.finfo(float).tiny)).any():
         return json.dumps(q.tolist())
+    whole = (q == np.trunc(q)) & (np.abs(q) < 1e16)
     spec = np.where(whole, "%.1f", "%.9g").tolist() if whole.any() else ["%.9g"] * len(q)
     return "[" + ", ".join(spec) % tuple(q.tolist()) + "]"
+
+
+def _samples_printer() -> Callable[[np.ndarray], str]:
+    """_samples_text, by jsonl.c's formatter where it can be built and
+    accepts the samples, by _samples_text's Python body where not."""
+    from . import native  # native renames its build through this module
+
+    return _printer(native.load(_JSONL_C))
+
+
+@functools.cache
+def _printer(lib: Optional[ctypes.CDLL]) -> Callable[[np.ndarray], str]:
+    """_samples_printer's function for one native.load result, set up once."""
+    if lib is None:
+        return _samples_text
+    fn = lib.vmsight_format_samples
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_char_p]
+    fn.restype = ctypes.c_long
+
+    def text(q: np.ndarray) -> str:
+        buf = ctypes.create_string_buffer(2 + 32 * len(q))
+        n = fn(q.ctypes.data, len(q), buf)
+        # string_at copies only the n bytes written, where .raw copies all
+        return _samples_text(q) if n < 0 else ctypes.string_at(buf, n).decode("ascii")
+
+    return text
 
 
 def _json_object(items: dict[str, str]) -> str:
@@ -432,9 +460,9 @@ def _record_line(record: SessionRecord) -> str:
     _check_writable(record)
     kinds = sorted(record.traces, key=lambda k: k.name)
     q = quantize_array(np.concatenate([record.traces[k].samples for k in kinds]))
-    whole = (q == np.trunc(q)) & (np.abs(q) < 1e16)
     ends = list(itertools.accumulate(len(record.traces[k]) for k in kinds))
-    traces = {k.name: _samples_text(q[a:b], whole[a:b]) for k, a, b in zip(kinds, [0, *ends], ends)}
+    text = _samples_printer()
+    traces = {k.name: text(q[a:b]) for k, a, b in zip(kinds, [0, *ends], ends)}
     fields = {"session_id": record.session_id, "period_s": quantize(record.period_s),
               **_labels_to_obj(record)}
     items = {k: json.dumps(v) for k, v in fields.items()}

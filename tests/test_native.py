@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 from vmsight import native, tracemodel
+from vmsight.simgen import ScenarioConfig, default_templates, generate
 from vmsight.tracemodel import load_corpus, save_corpus
 
 from test_tracemodel import make_record
@@ -69,13 +70,22 @@ def _cache_in_a_file(m, tmp_path):
 def test_fallback_prints_one_notice_and_loads_with_json(
     tmp_path, monkeypatch, capsys, fresh_load, break_build, reason
 ):
+    records = [make_record("a"), make_record("b")] + generate(
+        ScenarioConfig(session_duration_s=30.0, rng_seed=5), default_templates(), 3
+    )
+    records.sort(key=lambda r: r.session_id)
+    built = tmp_path / "built.jsonl"
+    save_corpus(records, str(built))  # jsonl.c as the session built it, where it could
+    capsys.readouterr()
+    fresh_load.cache_clear()
     monkeypatch.setenv(native.CACHE_ENV, str(tmp_path / "cache"))
     break_build(monkeypatch, tmp_path)
-    path = str(tmp_path / "c.jsonl")
-    records = [make_record("a"), make_record("b")]
-    save_corpus(records, path)
-    assert load_corpus(path) == records
-    assert load_corpus(path) == records
+    path = tmp_path / "c.jsonl"
+    save_corpus(records, str(path))
+    assert path.read_bytes() == built.read_bytes()
+    assert load_corpus(str(path)) == records
+    assert load_corpus(str(path)) == records
+    # the writer and the loader share one native.load result: one notice
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("vmsight: cannot build jsonl.c (")
     assert reason in err[0] and err[0].endswith("); using the Python code path")

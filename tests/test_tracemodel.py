@@ -1,13 +1,17 @@
+import contextlib
 import decimal
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import shutil
 import string
 import tempfile
 import tracemalloc
+from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import jsonl_line
-from vmsight import tracemodel
+from vmsight import native, tracemodel
 from vmsight.errors import EmptyCorpus, IoError, ParseError
 from vmsight.simgen import ScenarioConfig, default_templates, generate, generate_isolated
 from vmsight.tracemodel import (
@@ -33,6 +37,8 @@ from vmsight.tracemodel import (
     quantize_array,
     save_corpus,
 )
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not installed")
 
 # Every float JSON can carry (-0.0 and subnormals included) and ints far
 # beyond 2**53 and 2**64, up to 10**300.
@@ -613,12 +619,51 @@ class TestQuantizeArray:
             cfg, default_templates(), 4
         )
         path = tmp_path / "c.jsonl"
-        save_corpus(records, str(path))
-        data = path.read_bytes()
-        assert len(data) == 617_496
-        assert hashlib.sha256(data).hexdigest() == (
-            "a0d61aca7b8c0d1a6ced0344da9ea279b13db4c24ca695e7350494286a226841"
-        )
+        python = native.load(tracemodel._JSONL_C) is None
+        for declines in (False, True):
+            with writer_path(declines) as printed:
+                save_corpus(records, str(path))
+            data = path.read_bytes()
+            assert len(data) == 617_496
+            assert hashlib.sha256(data).hexdigest() == (
+                "a0d61aca7b8c0d1a6ced0344da9ea279b13db4c24ca695e7350494286a226841"
+            )
+            # Python prints every trace where jsonl.c declines, none where it runs
+            assert len(printed) == (sum(len(r.traces) for r in records)
+                                    if declines or python else 0)
+
+
+class _DecliningLib:
+    """jsonl.c's library, but its sample formatter declines every call."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    @staticmethod
+    def vmsight_format_samples(samples, n, out):
+        return -1
+
+
+_declining = functools.cache(_DecliningLib)  # one per library, as _printer caches
+
+
+@contextlib.contextmanager
+def writer_path(declines: bool):
+    """save_corpus with jsonl.c printing the samples, or, where ``declines``,
+    with a library handle whose formatter declines, so that Python prints
+    them; yields the list of traces that _samples_text's body printed."""
+    printed = []
+    body = tracemodel._samples_text
+    lib = native.load(tracemodel._JSONL_C)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            tracemodel, "_samples_text", lambda q: printed.append(q) or body(q)))
+        if declines and lib is not None:
+            stack.enter_context(mock.patch.object(native, "load", lambda path: _declining(lib)))
+        yield printed
 
 
 # Samples whose JSON layout the writer must get right: subnormals, signed
@@ -668,17 +713,18 @@ class TestJsonlWriter:
         )
     )
     def test_lines_equal_json_dumps_oracle(self, records):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "c.jsonl")
-            save_corpus(records, path)
-            with open(path, "rb") as fh:
-                lines = fh.read().decode("utf-8").split("\n")
-            loaded = load_corpus(path)
-            native, python = _load_both_ways(path)
         ordered = sorted(records, key=lambda r: r.session_id)
-        assert lines == [jsonl_line(r) for r in ordered] + [""]
-        assert loaded == ordered
-        assert native == python
+        for declines in (False, True):
+            with tempfile.TemporaryDirectory() as tmp, writer_path(declines):
+                path = os.path.join(tmp, "c.jsonl")
+                save_corpus(records, path)
+                with open(path, "rb") as fh:
+                    lines = fh.read().decode("utf-8").split("\n")
+                loaded = load_corpus(path)
+                c_parsed, json_parsed = _load_both_ways(path)
+            assert lines == [jsonl_line(r) for r in ordered] + [""]
+            assert loaded == ordered
+            assert c_parsed == json_parsed
 
     @pytest.mark.parametrize(
         "field, value",
@@ -711,6 +757,46 @@ class TestJsonlWriter:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def _formatted(values) -> Optional[str]:
+    """jsonl.c's text of the samples, or None where it declines them."""
+    with mock.patch.object(tracemodel, "_samples_text", lambda q: None):
+        return tracemodel._samples_printer()(np.array(values, dtype=float))
+
+
+def _printable(v: float) -> bool:
+    """Whether the formatter must accept the quantized v: zero, or normal
+    with a decimal exponent in [-14, 30] (|k| <= 22)."""
+    return v == 0 or 1e-14 <= abs(v) < 1e31
+
+
+@needs_gcc
+class TestSamplesFormatter:
+    @pytest.mark.parametrize(
+        "value",
+        [5e-324, -1e-310, 0.1 + 0.2, quantize(1e-15), quantize(-1e31),
+         2.2250738585072014e-308, 1.797e308],
+    )
+    def test_declines_what_it_cannot_prove(self, value):
+        # 0.1 + 0.2 is no 9-digit decimal: printing its 9 digits would write 0.3
+        assert _formatted([1.0, value, 2.0]) is None
+
+    @pytest.mark.parametrize("value", [v for v in WRITER_EDGES if _printable(v)]
+                             + [1e-14, -1e30, 1e-11, 1e23, -1e29])
+    def test_prints_edges_as_python_does(self, value):
+        q = quantize_array([value, -value, 0.5])
+        assert _formatted(q) == tracemodel._samples_text(q) == json.dumps(q.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(WRITER_EDGES), max_size=20))
+    def test_accepts_quantized_and_never_misprints(self, values):
+        # any double is accepted only where its text is json's
+        text = _formatted(values)
+        assert text is None or text == json.dumps(values)
+        q = quantize_array(values)
+        assert _formatted(q) == (json.dumps(q.tolist()) if all(map(_printable, q)) else None)
 
 
 class TestCsv:
