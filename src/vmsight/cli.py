@@ -33,7 +33,7 @@ from .identify import (
     load_fingerprint_db,
     save_fingerprint_db,
 )
-from .parallel import parallel_map, usable_cpus
+from .parallel import parallel_map
 
 CONFIG_ENV = "CLOUDPROPHET_CONFIG"
 JOBS_HELP = "processes to run in, this one included; outputs do not depend on it"
@@ -306,8 +306,7 @@ def _cmd_train(args) -> int:
     records = _load_sessions(args)
     cfg = neural.TrainConfig(max_epochs=args.max_epochs, rng_seed=args.seed)
     store = degrade.fit_models_for_corpus(
-        records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid,
-        jobs=args.jobs,
+        records, profiles, args.threshold_corr, cfg=cfg, hidden_grid=args.hidden_grid
     )
     store.save(args.models)
     summary = {}
@@ -442,7 +441,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     def number(p, flag, **kwargs):
         """Add an int or float flag, whose type and default are its _BOUNDS entry's."""
         kind, _, default = _BOUNDS[flag[2:].replace("-", "_")]
-        p.add_argument(flag, type=kind, **{"default": default, **kwargs})
+        p.add_argument(flag, type=kind, default=default, **kwargs)
 
     p = sub.add_parser("simulate", help="generate a synthetic colocated-VM corpus")
     p.add_argument("--out", help="corpus file (jsonl) or directory (csv) to write")
@@ -494,7 +493,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                    help="hidden widths to search by validation error, e.g. 8, 16x8 or 4,8,16")
     number(p, "--max-epochs")
     number(p, "--threshold-corr")
-    number(p, "--jobs", default=usable_cpus(), help=JOBS_HELP + " (default: the usable CPUs)")
+    number(p, "--jobs", help="accepted and range-checked; training runs in this process")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict performance degradation per session")

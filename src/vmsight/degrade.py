@@ -37,14 +37,11 @@ from .neural import (
     grid_configs,
     hyper_search,  # not called here; perfbench traces degrade.hyper_search by name
     load_model,
-    net_size,
-    one_blas_thread,
     predict,
     prepare,
     save_model,
     train,
 )
-from .parallel import parallel_map
 from .select import DEFAULT_CORR_THRESHOLD, Purpose, rank_metrics
 from .tracemodel import (
     MetricKind,
@@ -231,24 +228,12 @@ def predict_degradation(
 # ---------------------------------------------------------------------------
 
 
-# Training in lanes pays only when the nets are big enough.  Measured on a
-# 2-vCPU guest, where two busy processes get about 1.5x one CPU: at a sum of
-# p**3 over the nets (p parameters each) of about 2e6, two lanes were 50-85 ms
-# slower than one; from 1.9e7 on they were faster.
-LANE_MIN_WORK = 1e7
-
-
-def _fit_one(task) -> tuple[MlpModel, FitReport]:
-    return train(*task)
-
-
 def fit_models_for_corpus(
     records: Sequence[SessionRecord],
     profiles: Mapping[str, AppProfile],
     corr_threshold: float = DEFAULT_CORR_THRESHOLD,
     cfg: TrainConfig = TrainConfig(),
     hidden_grid: Optional[Sequence[tuple[int, ...]]] = None,
-    jobs: int = 1,
 ) -> ModelStore:
     """Train the per-application net sets from a labeled corpus.
 
@@ -256,17 +241,13 @@ def fit_models_for_corpus(
     apps additionally get a workload net and a baseline net; the latter fits
     (workload -> performance) on the corpus's interference-free sessions.
     Each net's widths are the ``best_fit`` over ``hidden_grid``, which
-    defaults to ``cfg.hidden_sizes`` alone.
-
-    Every (app, purpose, width) net is one task; the tasks run heaviest
-    first in up to ``jobs`` processes when the nets are big enough to pay
-    (LANE_MIN_WORK), with BLAS held at one thread.  The models do not depend
-    on ``jobs``.
+    defaults to ``cfg.hidden_sizes`` alone.  Every net set is prepared
+    before the first net trains, so a short corpus fails before any fit.
     """
     configs = grid_configs(cfg, hidden_grid or [cfg.hidden_sizes])
-    apps, tasks = [], []  # each net set's app; each (net set, width)'s (problem, cfg)
+    net_sets = []  # each (app, prepared problem), in training order
 
-    def search(app, recs, purpose):
+    def prepare_net_set(app, recs, purpose):
         inputs = ()
         if purpose is not Purpose.BASELINE:
             inputs = rank_metrics(recs, app, purpose, corr_threshold).selected
@@ -274,35 +255,26 @@ def fit_models_for_corpus(
             problem = prepare(recs, purpose, inputs, cfg.rng_seed)
         except InsufficientData as exc:
             raise InsufficientData(f"app {app!r}, {purpose.value} net: {exc}") from None
-        apps.append(app)
-        tasks.extend((problem, c) for c in configs)
+        net_sets.append((app, problem))
 
     for app in sorted(profiles):
         recs = [r for r in records if r.app_label == app]
         if not recs:
             raise InsufficientData(f"corpus has no sessions for app {app!r}")
-        search(app, recs, Purpose.PERFORMANCE)
+        prepare_net_set(app, recs, Purpose.PERFORMANCE)
         if profiles[app].variable_workload:
-            search(app, recs, Purpose.WORKLOAD)
+            prepare_net_set(app, recs, Purpose.WORKLOAD)
             iso = [r for r in recs if r.interference_level == 0.0]
             if len(iso) < 20:
                 raise InsufficientData(
                     f"app {app!r} has only {len(iso)} interference-free sessions; "
                     "the baseline net needs >= 20"
                 )
-            search(app, iso, Purpose.BASELINE)
-
-    # heaviest first, so that the lanes' snake order gives them even shares
-    sizes = [net_size(*task) for task in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: -sizes[i])
-    lanes = jobs if sum(p ** 3 for p in sizes) > LANE_MIN_WORK else 1
-    with one_blas_thread():  # held once for every lane: forked workers inherit it
-        fits = parallel_map(_fit_one, [tasks[i] for i in order], lanes)
-    fits = [fit for _, fit in sorted(zip(order, fits))]
+            prepare_net_set(app, iso, Purpose.BASELINE)
 
     store = ModelStore()
-    for k, app in enumerate(apps):
-        store.add(app, *best_fit(fits[k * len(configs) : (k + 1) * len(configs)]))
+    for app, problem in net_sets:
+        store.add(app, *best_fit([train(problem, c) for c in configs]))
     return store
 
 

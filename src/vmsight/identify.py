@@ -164,6 +164,11 @@ class FingerprintDb:
         labels = sorted({e.app_label for e in entries})
         if UNKNOWN in labels:
             raise ValueError(f"{UNKNOWN!r} is reserved and cannot label an entry")
+        for e in entries:
+            if e.trace.metric != e.metric:
+                raise ValueError(
+                    f"entry ({e.app_label}, {e.metric.name}) holds a {e.trace.metric.name} trace"
+                )
         have = {(e.app_label, e.metric) for e in entries}
         for label in labels:
             for kind in self.metrics_used:

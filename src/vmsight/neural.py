@@ -301,17 +301,6 @@ def prepare(records, purpose, input_metrics, seed) -> Prepared:
     )
 
 
-def _net_dims(problem: Prepared, cfg: TrainConfig) -> list[int]:
-    """The layer widths of the net ``train(problem, cfg)`` fits."""
-    return [len(problem.in_norm[0]), *cfg.hidden_sizes, 1]
-
-
-def net_size(problem: Prepared, cfg: TrainConfig) -> int:
-    """The parameter count of the net ``train(problem, cfg)`` fits."""
-    dims = _net_dims(problem, cfg)
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-
-
 def grid_configs(cfg: TrainConfig, widths: Sequence[tuple[int, ...]]) -> list[TrainConfig]:
     """``cfg`` once per distinct hidden-width tuple of ``widths``, in
     first-seen order: a repeated width would train the same net again.
@@ -374,7 +363,7 @@ def train(problem: Prepared, cfg: TrainConfig) -> tuple[MlpModel, FitReport]:
     out_mean, out_std = problem.out_mean, problem.out_std
     xt, y_train = problem.parts["train"]
 
-    dims = _net_dims(problem, cfg)
+    dims = [len(problem.in_norm[0]), *cfg.hidden_sizes, 1]
     rng = np.random.default_rng(cfg.rng_seed)
     layers = _init_layers(rng, dims)
     if out_std == 0.0:

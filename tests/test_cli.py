@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from vmsight import degrade, simgen, tracemodel
 from vmsight.cli import _BOUNDS, build_parser, main
 from vmsight.evaluate import MAX_QUERIES
-from vmsight.parallel import parallel_map
 
 MISSING = "/nonexistent/vmsight/corpus.jsonl"
 
@@ -1197,14 +1196,13 @@ class TestBadFiles:
 
 class TestDeterminism:
     def test_train_jobs_writes_the_same_tree(self, capsys, workspace, monkeypatch):
-        lanes = []
+        train, calls, trees = degrade.train, [], {}
 
-        def spy(fn, items, jobs):
-            lanes.append(jobs)
-            return parallel_map(fn, items, jobs)
+        def spy(*args):
+            calls.append((jobs, os.getpid()))  # jobs: the run this call belongs to
+            return train(*args)
 
-        monkeypatch.setattr(degrade, "parallel_map", spy)
-        trees = {}
+        monkeypatch.setattr(degrade, "train", spy)
         for jobs in ("1", "2"):
             models = workspace["root"] / f"models-jobs{jobs}"
             code, _, err = run(capsys, "train", "--corpus", workspace["corpus"],
@@ -1213,8 +1211,8 @@ class TestDeterminism:
             assert code == 0, err
             trees[jobs] = {p.relative_to(models): p.read_bytes()
                            for p in sorted(models.rglob("*.json"))}
-        # the grid's nets are big enough that --jobs 2 trains in two lanes
-        assert lanes == [1, 2]
+        # 2 widths for each of 9 nets, every one trained in this process
+        assert calls == [("1", os.getpid())] * 18 + [("2", os.getpid())] * 18
         assert len(trees["1"]) == 9 and trees["1"] == trees["2"]
 
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
@@ -1360,8 +1358,7 @@ def _hostile(flag) -> list:
 class TestEveryFlag:
     def test_every_numeric_flag_takes_its_type_and_default_from_bounds(self):
         """Each int or float flag of every subcommand has a _BOUNDS entry of
-        its type, whose default it takes but for train's --jobs, and each
-        entry has a flag."""
+        its type, whose default it takes, and each entry has a flag."""
         parser = build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         used = set()
@@ -1373,8 +1370,7 @@ class TestEveryFlag:
                 assert action.dest in _BOUNDS, where
                 kind, _, default = _BOUNDS[action.dest]
                 assert action.type is kind, where
-                if (command, action.dest) != ("train", "jobs"):
-                    assert action.default == default, where
+                assert action.default == default, where
                 used.add(action.dest)
         assert used == set(_BOUNDS)
 

@@ -436,6 +436,13 @@ class TestBuildDb:
         with pytest.raises(ValueError, match="reserved"):
             toy_db([(UNKNOWN, trace([1, 2, 3]))])
 
+    def test_entry_metric_must_be_its_traces(self):
+        # else identify would match cpu traces against llc samples, and a save
+        # would write them under cpu_util_pct
+        entry = FingerprintEntry("a", CPU_UTIL, trace([1, 2, 3], kind=LLC_MISSES))
+        with pytest.raises(ValueError, match=r"^entry \(a, cpu_util_pct\) holds a llc_misses trace$"):
+            FingerprintDb(entries=(entry,), metrics_used=frozenset({CPU_UTIL}))
+
     def test_threshold_for_no_metric_rejected(self):
         sessions = self._sessions("ab", 1)
         with pytest.raises(ValueError, match="^metric_thresholds: cpu_util: names no metric$"):

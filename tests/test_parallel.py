@@ -11,7 +11,7 @@ import pytest
 import vmsight
 from vmsight import parallel
 from vmsight.errors import Diverged
-from vmsight.parallel import parallel_map, snake_lanes
+from vmsight.parallel import parallel_map
 
 
 def square(x):
@@ -53,18 +53,6 @@ class InlinePool:
         return future
 
 
-@pytest.mark.parametrize("n_items, jobs", [(0, 3), (1, 4), (5, 1), (5, 2), (7, 3), (3, 500)])
-def test_snake_lanes_partition_the_items(n_items, jobs):
-    lanes = snake_lanes(n_items, jobs)
-    assert len(lanes) == max(1, min(jobs, n_items))
-    assert sorted(i for lane in lanes for i in lane) == list(range(n_items))
-    assert all(lane == sorted(lane) for lane in lanes)
-
-
-def test_snake_order_balances_a_heaviest_first_list():
-    assert snake_lanes(8, 3) == [[0, 5, 6], [1, 4, 7], [2, 3]]
-
-
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_results_keep_item_order(jobs):
     items = list(range(11))
@@ -73,9 +61,9 @@ def test_results_keep_item_order(jobs):
 
 def test_caller_runs_lane_zero():
     pids = parallel_map(pid_of, range(4), 2)
-    lanes = snake_lanes(4, 2)
-    assert {pids[i] for i in lanes[0]} == {os.getpid()}
-    assert os.getpid() not in {pids[i] for i in lanes[1]}
+    # round-robin lanes: items 0 and 2 in the caller, 1 and 3 in a worker
+    assert {pids[0], pids[2]} == {os.getpid()}
+    assert os.getpid() not in {pids[1], pids[3]}
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 500, pytest.param(10**400, id="400-digits")])
@@ -88,17 +76,18 @@ def test_workers_capped_at_items(monkeypatch, jobs):
 
 
 def test_worker_lane_divergence_reaches_caller_typed():
-    # lanes for 6 items and 2 jobs: [0, 3, 4] in the caller, [1, 2, 5] in a worker
+    # lanes for 6 items and 2 jobs: [0, 2, 4] in the caller, [1, 3, 5] in a worker
     with pytest.raises(Diverged, match="^item 5$"):
         parallel_map(diverge_at({5}), range(6), 2)
 
 
 def test_first_failure_in_item_order_wins():
-    # the caller fails at item 4, the worker lane at item 2, which comes first
+    # lanes [0, 2, 4] in the caller and [1, 3, 5] in a worker: the worker's
+    # failure at 1 beats the caller's at 4, and the caller's at 2 the worker's at 3
+    with pytest.raises(Diverged, match="^item 1$"):
+        parallel_map(diverge_at({1, 4}), range(6), 2)
     with pytest.raises(Diverged, match="^item 2$"):
-        parallel_map(diverge_at({2, 4}), range(6), 2)
-    with pytest.raises(Diverged, match="^item 3$"):
-        parallel_map(diverge_at({3, 5}), range(6), 2)
+        parallel_map(diverge_at({2, 3}), range(6), 2)
 
 
 @pytest.mark.parametrize("name, home", [
